@@ -91,6 +91,24 @@ TEST(GoldenParity, Fig13StagedAllDispatched) {
                                   static_cast<Bytes>(streams) * 512 * KiB)));
 }
 
+// The sharded engine with attribution and an SLO: pins the per-shard
+// assembly, the cross-shard client routing and every merge (stats adders,
+// breakdown, SLO windows) that folds the shards back into one result.
+TEST(GoldenParity, Fig13StagedTwoShardsAttributed) {
+  const auto node = node::NodeConfig::medium();  // 2 controllers x 4 disks
+  const std::uint32_t streams = 80;
+  ExperimentConfig ec = base_config(
+      node, streams, paper(streams, 512 * KiB, 1, static_cast<Bytes>(streams) * 512 * KiB));
+  ec.warmup = sec(1);
+  ec.measure = sec(3);
+  ec.shards = 2;
+  ec.attribution = true;
+  ec.slo.objective = msec(100);
+  ec.slo.quantile = 0.99;
+  ec.slo.window = sec(1);
+  expect_parity("fig13_staged_2shards_attributed.json", ec);
+}
+
 TEST(GoldenParity, Fig14SingleDiskSmallDispatch) {
   const node::NodeConfig node;  // 1 disk
   expect_parity("fig14_small_10.json",
