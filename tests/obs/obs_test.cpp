@@ -240,6 +240,37 @@ TEST(TimeSeries, SamplerRecordsGaugesDuringExperiment) {
   EXPECT_NE(json.find("\"rows\":[["), std::string::npos);
 }
 
+// The gauges restart their baselines when the measurement window opens.
+// A warm-up ending just past a tick (101 ms, 100 ms ticks) makes the first
+// measured tick cover 99 ms against a 100 ms warm-up: a baseline guessed
+// from a shrinking cumulative total misses that reset and reports zeros.
+TEST(TimeSeries, FirstTickAfterUnalignedWarmupReportsTheWindow) {
+  const node::NodeConfig node;  // one disk
+  experiment::ExperimentConfig cfg;
+  cfg.topology.node = node;
+  core::SchedulerParams params;
+  params.read_ahead = 1 * MiB;
+  cfg.scheduler = params;
+  cfg.streams = workload::make_uniform_streams(20, node.total_disks(),
+                                               node.disk.geometry.capacity, 64 * KiB);
+  cfg.warmup = msec(101);
+  cfg.measure = msec(600);
+  cfg.sample_interval = msec(100);
+  const auto result = experiment::run_experiment(cfg);
+
+  const obs::TimeSeries& series = result.timeseries;
+  const auto column = [&series](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find(series.names.begin(), series.names.end(), name) - series.names.begin());
+  };
+  ASSERT_LT(column("p50_ms"), series.names.size());
+  std::size_t row = 0;
+  while (row < series.size() && series.times[row] <= cfg.warmup) ++row;
+  ASSERT_LT(row, series.size());
+  EXPECT_GT(series.rows[row][column("mbps")], 0.0) << "tick at " << series.times[row];
+  EXPECT_GT(series.rows[row][column("p50_ms")], 0.0) << "tick at " << series.times[row];
+}
+
 TEST(TimeSeries, DisabledByDefault) {
   const auto result = experiment::run_experiment(traced_config(4, nullptr));
   EXPECT_TRUE(result.timeseries.empty());

@@ -5,12 +5,20 @@
 // cross-shard request-id stitching (every completed request has exactly
 // one issue, one admit and one completion in the merged journal).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "blockdev/block_device.hpp"
 #include "experiment/runner.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/slo.hpp"
@@ -341,6 +349,83 @@ TEST(SloExperiment, MergedJournalStitchesRequestIdsAcrossShards) {
   EXPECT_EQ(ordinals.size(), 8u);  // one per stream, shard-count invariant
 }
 
+/// Time-series column names with the per-cell prefix `<cell>K.` removed.
+std::set<std::string> gauge_names(const obs::TimeSeries& series, const std::string& cell) {
+  std::set<std::string> names;
+  for (const std::string& name : series.names) {
+    const std::size_t dot = name.find('.');
+    bool prefixed = name.rfind(cell, 0) == 0 && dot != std::string::npos && dot > cell.size();
+    for (std::size_t i = cell.size(); prefixed && i < dot; ++i) {
+      prefixed = std::isdigit(static_cast<unsigned char>(name[i])) != 0;
+    }
+    names.insert(prefixed ? name.substr(dot + 1) : name);
+  }
+  return names;
+}
+
+/// Metric names of a to_json() document, one entry per line: "group.key"
+/// for the entries of a group, the bare name for a top-level histogram.
+std::set<std::string> metric_keys(const std::string& json) {
+  std::set<std::string> keys;
+  std::istringstream lines(json);
+  std::string line;
+  std::string group;
+  while (std::getline(lines, line)) {
+    const std::size_t quote = line.find('"');
+    if (quote == std::string::npos) continue;
+    const std::string name = line.substr(quote + 1, line.find('"', quote + 1) - quote - 1);
+    if (quote == 2 && line.back() == '{') {
+      group = name;
+    } else {
+      keys.insert(quote == 2 ? name : group + "." + name);
+    }
+  }
+  return keys;
+}
+
+/// `keys` without the entries of the named groups.
+std::set<std::string> without(std::set<std::string> keys,
+                              const std::vector<std::string>& prefixes) {
+  for (auto it = keys.begin(); it != keys.end();) {
+    const bool drop = std::any_of(prefixes.begin(), prefixes.end(), [&](const auto& prefix) {
+      return it->rfind(prefix, 0) == 0;
+    });
+    it = drop ? keys.erase(it) : std::next(it);
+  }
+  return keys;
+}
+
+/// A temporary backing file holding the seed-0 content pattern.
+class PatternFile {
+ public:
+  explicit PatternFile(Bytes size) {
+    char tmpl[] = "/tmp/sst_surface_XXXXXX";
+    const int fd = ::mkstemp(tmpl);
+    if (fd < 0) return;
+    ::close(fd);
+    path_ = tmpl;
+    std::vector<std::byte> chunk(1 * MiB);
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    for (Bytes off = 0; off < size; off += chunk.size()) {
+      blockdev::fill_pattern(0, off, chunk.data(), chunk.size());
+      out.write(reinterpret_cast<const char*>(chunk.data()),
+                static_cast<std::streamsize>(chunk.size()));
+    }
+  }
+  PatternFile(const PatternFile&) = delete;
+  PatternFile& operator=(const PatternFile&) = delete;
+  ~PatternFile() {
+    if (!path_.empty()) ::unlink(path_.c_str());
+  }
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// One metric surface across cell counts: every cell registers the same
+// gauge set, so a sharded run shows the single-cell columns under a
+// per-shard prefix, and its metrics export adds only the sim.shard_* group.
 TEST(SloExperiment, RollingPercentileColumnsAppearPerShard) {
   experiment::ExperimentConfig ec = obs_config(2, 4, 2);
   ec.sample_interval = msec(100);
@@ -363,14 +448,45 @@ TEST(SloExperiment, RollingPercentileColumnsAppearPerShard) {
   experiment::ExperimentConfig single = obs_config(2, 4, 1);
   single.sample_interval = msec(100);
   const auto single_result = experiment::run_experiment(single);
-  const auto& single_names = single_result.timeseries.names;
-  const auto single_has = [&single_names](const std::string& name) {
-    return std::find(single_names.begin(), single_names.end(), name) !=
-           single_names.end();
-  };
-  EXPECT_TRUE(single_has("p50_ms"));
-  EXPECT_TRUE(single_has("p99_ms"));
-  EXPECT_TRUE(single_has("p999_ms"));
+  const std::set<std::string> sim_gauges = gauge_names(single_result.timeseries, "shard");
+  EXPECT_TRUE(sim_gauges.count("p50_ms"));
+  EXPECT_TRUE(sim_gauges.count("p99_ms"));
+  EXPECT_TRUE(sim_gauges.count("p999_ms"));
+  EXPECT_TRUE(sim_gauges.count("disk1.queue_depth"));
+  EXPECT_EQ(gauge_names(result.timeseries, "shard"), sim_gauges);
+  EXPECT_EQ(without(metric_keys(result.to_json()), {"sim.shard_"}),
+            metric_keys(single_result.to_json()));
+}
+
+// The real half of the surface check: io_uring runs with one and two
+// reactors show the sim gauges (less the sim-only disk queue depths) and
+// the sim metric keys (plus the real-only uring.* and reactor.* groups).
+TEST(SloExperiment, RealRunsShareTheSimMetricSurface) {
+  if (!experiment::real_backend_available()) {
+    GTEST_SKIP() << "needs a build with -DSST_WITH_URING=ON";
+  }
+  experiment::ExperimentConfig sim = obs_config(2, 4, 1);
+  sim.sample_interval = msec(100);
+  const auto sim_result = experiment::run_experiment(sim);
+  const std::set<std::string> real_gauges =
+      without(gauge_names(sim_result.timeseries, "shard"), {"disk"});
+  const std::set<std::string> sim_keys = metric_keys(sim_result.to_json());
+
+  const PatternFile file(8 * MiB);
+  ASSERT_FALSE(file.path().empty());
+  for (const std::uint32_t reactors : {1u, 2u}) {
+    experiment::ExperimentConfig real = obs_config(2, 4, 1);
+    real.sample_interval = msec(100);
+    real.backend.kind = experiment::BackendConfig::Kind::kReal;
+    real.backend.path = file.path();
+    real.backend.reactors = reactors;
+    const auto real_result = experiment::run_experiment(real);
+    EXPECT_EQ(real_result.reactor_summary.reactors, reactors);
+    EXPECT_EQ(gauge_names(real_result.timeseries, "reactor"), real_gauges)
+        << reactors << " reactors";
+    EXPECT_EQ(without(metric_keys(real_result.to_json()), {"uring.", "reactor."}), sim_keys)
+        << reactors << " reactors";
+  }
 }
 
 TEST(SloExperiment, PlainRunExportStaysGated) {
