@@ -1,9 +1,9 @@
 // A topology is the whole simulated deployment as one declarative value:
 // the physical node (controllers x disks, `topology.*` keys) plus the
 // device stack layered above it (`stack.*` keys). Constructing a Topology
-// builds the node and its stack together so every harness — the experiment
-// runner, benches, examples — composes devices the same way instead of
-// hand-wiring wrappers.
+// builds the node and its stack together so benches and examples compose
+// devices the same way instead of hand-wiring wrappers; experiment::Cell
+// takes the same two steps, with real devices in place of the node.
 //
 // TopologySpec is config-time only (no simulator needed), so workload
 // generators can size streams against the logical device view before
@@ -131,13 +131,6 @@ class Topology {
   }
   [[nodiscard]] Bytes device_capacity(std::size_t index) const {
     return stack_->devices().at(index)->capacity();
-  }
-
-  /// Attach a per-experiment tracer to the node and every stacked layer
-  /// (nullptr detaches). The tracer must outlive the topology.
-  void attach_tracer(obs::Tracer* tracer) {
-    node_.attach_tracer(tracer);
-    stack_->attach_tracer(tracer);
   }
 
  private:
