@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/counters.hpp"
 #include "experiment/aggregate.hpp"
 
 namespace sst::experiment {
@@ -365,22 +366,22 @@ ExperimentResult merge_cells(const ExperimentConfig& config, std::vector<CellOut
     result.requests_completed += part.requests_completed;
     result.client_errors += part.client_errors;
     result.latency.merge(part.latency);
-    add_disk_totals(result.disk_totals, part.disk_totals);
-    add_controller_totals(result.controller_totals, part.controller_totals);
-    add_scheduler_stats(result.scheduler_stats, part.scheduler_stats);
-    add_server_stats(result.server_stats, part.server_stats);
-    add_classifier_stats(result.classifier_stats, part.classifier_stats);
-    add_staging_stats(result.staging_stats, part.staging_stats);
+    fold_counters(result.disk_totals, part.disk_totals);
+    fold_counters(result.controller_totals, part.controller_totals);
+    fold_counters(result.scheduler_stats, part.scheduler_stats);
+    fold_counters(result.server_stats, part.server_stats);
+    fold_counters(result.classifier_stats, part.classifier_stats);
+    fold_counters(result.staging_stats, part.staging_stats);
     // Cells model parallel hosts: the binding figure is the busiest cell's
     // CPU, not a sum that could read past 100%.
     result.host_cpu_utilization =
         std::max(result.host_cpu_utilization, part.host_cpu_utilization);
     result.peak_buffer_memory += part.peak_buffer_memory;
     result.devices_failed += part.devices_failed;
-    add_fault_stats(result.fault_stats, part.fault_stats);
-    add_net_fault_stats(result.net_fault_stats, part.net_fault_stats);
-    add_retry_stats(result.retry_stats, part.retry_stats);
-    add_mirror_stats(result.mirror_stats, part.mirror_stats);
+    fold_counters(result.fault_stats, part.fault_stats);
+    fold_counters(result.net_fault_stats, part.net_fault_stats);
+    fold_counters(result.retry_stats, part.retry_stats);
+    fold_counters(result.mirror_stats, part.mirror_stats);
     result.sim_events_dispatched += part.sim_events_dispatched;
     result.breakdown.merge_from(part.breakdown);
     slo_windows.merge_from(cell.slo_windows);

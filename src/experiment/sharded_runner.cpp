@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "experiment/cell.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/sharding.hpp"
@@ -146,14 +147,13 @@ ExperimentResult run_experiment_sharded(const ExperimentConfig& config,
   ExperimentResult result = merge_cells(config, outcomes);
   result.sim_wheel_cascades = engine.wheel_cascades();
 
-  result.shard_summary.shards = num_shards;
-  result.shard_summary.requested = plan.requested;
-  result.shard_summary.lookahead = hop;
-  result.shard_summary.windows = engine.stats().windows;
-  result.shard_summary.cross_shard_events = engine.stats().cross_shard_events;
-  result.shard_summary.horizon_violations = engine.stats().horizon_violations;
-  result.shard_summary.min_shard_events = min_events;
-  result.shard_summary.max_shard_events = max_events;
+  ShardSummary& summary = result.shard_summary;
+  fold_counters(summary, engine.stats());
+  summary.shards = num_shards;
+  summary.requested = plan.requested;
+  summary.lookahead = hop;
+  summary.min_shard_events = min_events;
+  summary.max_shard_events = max_events;
   return result;
 }
 

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "common/counters.hpp"
+
 namespace sst::io {
 
 workload::RequestSink DeviceStack::wrap_sink(workload::RequestSink sink) {
@@ -25,32 +27,13 @@ void DeviceStack::attach_tracer(obs::Tracer* tracer) {
 
 core::RetryStats DeviceStack::retry_totals() const {
   core::RetryStats totals;
-  for (const auto& dev : reliable_) {
-    const core::RetryStats& rs = dev->stats();
-    totals.commands += rs.commands;
-    totals.retries_total += rs.retries_total;
-    totals.timeouts += rs.timeouts;
-    totals.media_errors += rs.media_errors;
-    totals.recovered += rs.recovered;
-    totals.giveups += rs.giveups;
-    totals.backoff_time += rs.backoff_time;
-  }
+  for (const auto& dev : reliable_) fold_counters(totals, dev->stats());
   return totals;
 }
 
 raid::MirrorStats DeviceStack::mirror_totals() const {
   raid::MirrorStats totals;
-  for (const auto& vol : mirrors_) {
-    const raid::MirrorStats& ms = vol->stats();
-    totals.reads += ms.reads;
-    totals.writes += ms.writes;
-    totals.member_errors += ms.member_errors;
-    totals.failovers += ms.failovers;
-    totals.degraded_reads += ms.degraded_reads;
-    totals.degraded_writes += ms.degraded_writes;
-    totals.read_failures += ms.read_failures;
-    totals.write_failures += ms.write_failures;
-  }
+  for (const auto& vol : mirrors_) fold_counters(totals, vol->stats());
   return totals;
 }
 

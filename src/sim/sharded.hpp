@@ -41,6 +41,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "sim/simulator.hpp"
@@ -55,6 +56,12 @@ struct ShardedStats {
   /// drain time (a violated lookahead contract); they are clamped to the
   /// barrier time instead of dropped. Always 0 for well-formed senders.
   std::uint64_t horizon_violations = 0;
+  /// Exported as sim.shard_* when a run shards.
+  static constexpr counters::Counter<ShardedStats> kCounters[] = {
+      {"shard_windows", &ShardedStats::windows},
+      {"shard_cross_events", &ShardedStats::cross_shard_events},
+      {"shard_horizon_violations", &ShardedStats::horizon_violations},
+  };
 };
 
 class ShardedEngine {
