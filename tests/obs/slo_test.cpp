@@ -19,9 +19,12 @@
 #include <vector>
 
 #include "blockdev/block_device.hpp"
+#include "blockdev/uring_block_device.hpp"
+#include "exec/real_context.hpp"
 #include "experiment/runner.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/slo.hpp"
+#include "sim/sharded.hpp"
 #include "workload/generator.hpp"
 
 namespace sst {
@@ -383,6 +386,14 @@ std::set<std::string> metric_keys(const std::string& json) {
   return keys;
 }
 
+/// "<group>.<key>" for every line of S's counter table.
+template <class S>
+std::set<std::string> table_keys(const std::string& group) {
+  std::set<std::string> keys;
+  for (const auto& line : S::kCounters) keys.insert(group + "." + std::string(line.key));
+  return keys;
+}
+
 /// `keys` without the entries of the named groups.
 std::set<std::string> without(std::set<std::string> keys,
                               const std::vector<std::string>& prefixes) {
@@ -425,7 +436,8 @@ class PatternFile {
 
 // One metric surface across cell counts: every cell registers the same
 // gauge set, so a sharded run shows the single-cell columns under a
-// per-shard prefix, and its metrics export adds only the sim.shard_* group.
+// per-shard prefix, and its metrics export adds only the sim.shard_* group:
+// the ShardedStats table plus the run-level shard entries.
 TEST(SloExperiment, RollingPercentileColumnsAppearPerShard) {
   experiment::ExperimentConfig ec = obs_config(2, 4, 2);
   ec.sample_interval = msec(100);
@@ -454,13 +466,17 @@ TEST(SloExperiment, RollingPercentileColumnsAppearPerShard) {
   EXPECT_TRUE(sim_gauges.count("p999_ms"));
   EXPECT_TRUE(sim_gauges.count("disk1.queue_depth"));
   EXPECT_EQ(gauge_names(result.timeseries, "shard"), sim_gauges);
-  EXPECT_EQ(without(metric_keys(result.to_json()), {"sim.shard_"}),
-            metric_keys(single_result.to_json()));
+  std::set<std::string> sharded_keys = metric_keys(single_result.to_json());
+  sharded_keys.merge(table_keys<sim::ShardedStats>("sim"));
+  sharded_keys.insert({"sim.shard_count", "sim.shard_requested", "sim.shard_lookahead_ms",
+                       "sim.shard_min_events", "sim.shard_max_events"});
+  EXPECT_EQ(metric_keys(result.to_json()), sharded_keys);
 }
 
 // The real half of the surface check: io_uring runs with one and two
 // reactors show the sim gauges (less the sim-only disk queue depths) and
-// the sim metric keys (plus the real-only uring.* and reactor.* groups).
+// the sim metric keys plus the real-only uring.* and reactor.* groups: the
+// UringStats and ReactorStats tables and the run-level summary entries.
 TEST(SloExperiment, RealRunsShareTheSimMetricSurface) {
   if (!experiment::real_backend_available()) {
     GTEST_SKIP() << "needs a build with -DSST_WITH_URING=ON";
@@ -470,7 +486,11 @@ TEST(SloExperiment, RealRunsShareTheSimMetricSurface) {
   const auto sim_result = experiment::run_experiment(sim);
   const std::set<std::string> real_gauges =
       without(gauge_names(sim_result.timeseries, "shard"), {"disk"});
-  const std::set<std::string> sim_keys = metric_keys(sim_result.to_json());
+  std::set<std::string> real_keys = metric_keys(sim_result.to_json());
+  real_keys.merge(table_keys<blockdev::UringStats>("uring"));
+  real_keys.merge(table_keys<exec::ReactorStats>("reactor"));
+  real_keys.insert({"uring.devices", "uring.direct_devices", "uring.device_completed",
+                    "uring.setup_flags", "reactor.count", "reactor.requested"});
 
   const PatternFile file(8 * MiB);
   ASSERT_FALSE(file.path().empty());
@@ -484,8 +504,7 @@ TEST(SloExperiment, RealRunsShareTheSimMetricSurface) {
     EXPECT_EQ(real_result.reactor_summary.reactors, reactors);
     EXPECT_EQ(gauge_names(real_result.timeseries, "reactor"), real_gauges)
         << reactors << " reactors";
-    EXPECT_EQ(without(metric_keys(real_result.to_json()), {"uring.", "reactor."}), sim_keys)
-        << reactors << " reactors";
+    EXPECT_EQ(metric_keys(real_result.to_json()), real_keys) << reactors << " reactors";
   }
 }
 
