@@ -125,9 +125,10 @@ class Cell {
                                                  std::uint32_t ordinal);
 
 /// Fold the cells' outcomes into one result: streams in spec order, stats
-/// through the aggregate.hpp adders, the busiest cell's host CPU, private
-/// tracers and flight rings into the caller's, time series column-wise with
-/// a summed `mbps`, breakdown and SLO windows into one verdict.
+/// through their counter tables (common/counters.hpp), the busiest cell's
+/// host CPU, private tracers and flight rings into the caller's, time series
+/// column-wise with a summed `mbps`, breakdown and SLO windows into one
+/// verdict.
 [[nodiscard]] ExperimentResult merge_cells(const ExperimentConfig& config,
                                            std::vector<CellOutcome>& cells);
 
