@@ -6,6 +6,12 @@
 // when the last reference drops — which is what lets the staging area hand
 // prefetched data to clients by reference (the client's slice keeps the
 // extent alive after the staging buffer itself is reaped).
+//
+// A destroyed slab's backing memory passes to a process-wide spare list per
+// size class, which the next slab draws from before allocating, so a
+// process that builds run after run faults its staging pages in once.
+// Extent memory is never zeroed: a new extent holds whatever its last user
+// (or the heap) left there.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +28,7 @@ namespace sst {
 class ExtentSlab;
 
 struct ExtentSlabStats {
-  std::uint64_t fresh_allocations = 0;  ///< extents backed by new memory
+  std::uint64_t fresh_allocations = 0;  ///< extents added to this slab
   std::uint64_t recycles = 0;           ///< extents served from a free list
   Bytes reserved_bytes = 0;             ///< memory held (live + free lists)
   Bytes peak_reserved = 0;
@@ -69,8 +75,9 @@ class ExtentRef {
 };
 
 /// The allocator. Extent control blocks live in a flat vector (indexed, so
-/// ExtentRef survives vector growth); backing memory is never freed, only
-/// recycled through per-class free lists.
+/// ExtentRef survives vector growth); backing memory is recycled through
+/// per-class free lists while the slab lives and passes to the spare list
+/// when it is destroyed. No ExtentRef may outlive its slab.
 class ExtentSlab {
  public:
   /// Smallest size class; requests round up to the next power of two.
@@ -79,6 +86,7 @@ class ExtentSlab {
   ExtentSlab() = default;
   ExtentSlab(const ExtentSlab&) = delete;
   ExtentSlab& operator=(const ExtentSlab&) = delete;
+  ~ExtentSlab();
 
   /// Allocate an extent of at least `size` bytes (refcount 1).
   [[nodiscard]] ExtentRef allocate(Bytes size);
@@ -88,9 +96,10 @@ class ExtentSlab {
   [[nodiscard]] Bytes live_bytes() const { return live_bytes_; }
 
   /// Every backing allocation the slab owns (live or parked on a free
-  /// list), as (base, capacity) pairs. Backing memory is never freed, so
-  /// the pointers stay valid for the slab's lifetime — which is what lets a
-  /// real-I/O backend register them once as fixed DMA buffers.
+  /// list), as (base, capacity) pairs. The slab keeps its backing memory
+  /// until it is destroyed, so the pointers stay valid for its lifetime —
+  /// which is what lets a real-I/O backend register them once as fixed DMA
+  /// buffers.
   [[nodiscard]] std::vector<std::pair<std::byte*, Bytes>> regions() const {
     std::vector<std::pair<std::byte*, Bytes>> out;
     out.reserve(extents_.size());

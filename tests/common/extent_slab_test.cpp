@@ -1,6 +1,7 @@
 // ExtentSlab: size-class rounding, refcount lifecycle (drop-to-zero
-// recycling), allocation-free steady state under churn, and pointer
-// stability while references are held.
+// recycling), allocation-free steady state under churn, pointer stability
+// while references are held, and the hand-over of a destroyed slab's
+// memory to the next slab.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -105,6 +106,26 @@ TEST(ExtentSlab, AccountingTracksPeakReserved) {
   // Reserved memory is recycled, never returned to the heap.
   EXPECT_EQ(slab.stats().reserved_bytes, 12 * KiB);
   EXPECT_EQ(slab.live_bytes(), 0u);
+}
+
+TEST(ExtentSlab, DestroyedSlabMemoryPassesToTheNextSlab) {
+  // A size class no other test in this binary uses, so the spare list's
+  // newest entry of the class is the one this test parks.
+  constexpr Bytes kSize = 32 * MiB;
+  std::byte* parked = nullptr;
+  {
+    ExtentSlab first;
+    ExtentRef e = first.allocate(kSize);
+    parked = e.data();
+    e.data()[0] = std::byte{0x5a};
+  }
+  ExtentSlab second;
+  ExtentRef e = second.allocate(kSize);
+  EXPECT_EQ(e.data(), parked);
+  // Spare memory is handed over as is, not zeroed.
+  EXPECT_EQ(e.data()[0], std::byte{0x5a});
+  EXPECT_EQ(second.stats().fresh_allocations, 1u);
+  EXPECT_EQ(second.stats().recycles, 0u);
 }
 
 }  // namespace
