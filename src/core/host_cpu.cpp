@@ -4,7 +4,7 @@
 
 namespace sst::core {
 
-void HostCpu::execute(SimTime cost, std::function<void()> fn) {
+void HostCpu::execute(SimTime cost, exec::TaskFn fn) {
   const SimTime start = std::max(sim_.now(), free_at_);
   const SimTime end = start + cost;
   free_at_ = end;

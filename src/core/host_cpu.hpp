@@ -5,11 +5,10 @@
 // dispatch set is as large as the stream population (paper Fig. 12 vs 13).
 #pragma once
 
-#include <functional>
-
 #include "common/types.hpp"
 #include "core/params.hpp"
 #include "exec/execution_context.hpp"
+#include "exec/task_fn.hpp"
 
 namespace sst::core {
 
@@ -39,7 +38,7 @@ class HostCpu {
 
   /// Occupy the CPU for `cost`, then run `fn`. Work queues FIFO behind
   /// whatever the CPU is already doing.
-  void execute(SimTime cost, std::function<void()> fn);
+  void execute(SimTime cost, exec::TaskFn fn);
 
   [[nodiscard]] const HostCpuStats& stats() const { return stats_; }
   [[nodiscard]] SimTime free_at() const { return free_at_; }
