@@ -118,7 +118,7 @@ BenchResult bench_schedule_cancel() {
   constexpr std::uint32_t kMeasureRounds = 256;
 
   sim::Simulator simulator;
-  std::vector<sim::EventHandle> handles;
+  std::vector<exec::TaskHandle> handles;
   handles.reserve(kBatch);
 
   auto round = [&] {

@@ -9,12 +9,15 @@
 // them assumes virtual time. Two implementations exist:
 //
 //  - sim::Simulator (sim/simulator.hpp): the discrete-event engine; `now()`
-//    is simulated nanoseconds and tasks are events on the timer wheel.
-//    Byte-identical to the pre-seam engine — the class is `final` so direct
-//    calls through a Simulator& still devirtualize and inline.
+//    is simulated nanoseconds, and the clock jumps to each task's due time.
+//    The class is `final` so direct calls through a Simulator& still
+//    devirtualize and inline.
 //  - exec::RealContext (exec/real_context.hpp): the wall clock; tasks run
 //    from a reactor loop that also polls CompletionDrivers (the io_uring
 //    backend) for real I/O completions.
+//
+// Both keep their tasks in one exec::TimerWheel (exec/timer_wheel.hpp), so
+// they fire tasks in the same order: by due time, then scheduling order.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +65,9 @@ class ExecutionContext {
   [[nodiscard]] virtual SimTime now() const = 0;
 
   /// Schedule `fn` to run once at absolute time `when`. Simulated contexts
-  /// require `when >= now()`; real contexts clamp past times to "as soon
-  /// as the reactor runs".
+  /// require `when >= now()`; real contexts clamp a past time to their
+  /// timer wheel's cursor, so the task fires on the reactor's next turn,
+  /// after every task of the batch that is firing.
   virtual TaskHandle schedule_at(SimTime when, TaskFn fn) = 0;
 
   /// Schedule `fn` to run `delay` nanoseconds from now.

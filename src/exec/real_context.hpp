@@ -17,24 +17,24 @@
 // submissions and the completion wait combined into one io_uring_enter)
 // when exactly one eventfd-less driver has I/O in flight, or in one
 // epoll_wait over every busy driver's eventfd plus a timerfd armed at the
-// timer heap's next deadline otherwise, flushing every driver's staged
-// batch first. Idle contexts (no I/O in flight) sleep exactly until the
-// next timer. ReactorStats counts wakeups, and classifies them
+// wheel's next due time otherwise, flushing every driver's staged batch
+// first. Idle contexts (no I/O in flight) sleep exactly until the next
+// due time. ReactorStats counts wakeups, and classifies them
 // (completion / timer / spurious).
 //
-// Task bookkeeping mirrors the simulator's slab: slots are recycled through
-// a free list, handles address (slot, generation), and cancelled heap
-// records are purged lazily when they surface.
+// Tasks live in an exec::TimerWheel, the simulator's own task store, so
+// both contexts fire the same callback graph under the same ordering
+// rule. Each reactor turn fires every batch the wall clock has reached.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/counters.hpp"
 #include "common/types.hpp"
 #include "exec/execution_context.hpp"
+#include "exec/timer_wheel.hpp"
 
 namespace sst::exec {
 
@@ -100,8 +100,9 @@ class RealContext final : public ExecutionContext {
   /// Monotonic nanoseconds since construction.
   [[nodiscard]] SimTime now() const override;
 
-  /// Past deadlines are allowed (unlike the simulator): the task fires on
-  /// the reactor's next turn.
+  /// Past deadlines are allowed (unlike the simulator): they clamp to the
+  /// wheel's cursor, so the task fires on the reactor's next turn, after
+  /// the batch that is firing.
   TaskHandle schedule_at(SimTime when, TaskFn fn) override;
 
   /// Register/unregister a completion source. Drivers must outlive their
@@ -119,46 +120,22 @@ class RealContext final : public ExecutionContext {
   /// Run until no timers are pending and no driver has I/O in flight.
   void run();
 
-  [[nodiscard]] std::size_t pending_tasks() const { return live_; }
-  [[nodiscard]] std::uint64_t executed_tasks() const { return executed_; }
+  [[nodiscard]] std::size_t pending_tasks() const { return wheel_.size(); }
+  [[nodiscard]] std::uint64_t executed_tasks() const { return wheel_.fired(); }
   [[nodiscard]] const ReactorStats& reactor_stats() const { return stats_; }
 
  private:
-  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
-
-  struct Slot {
-    TaskFn fn;
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = kNoSlot;
-    bool alive = false;
-  };
-
-  /// Heap records are plain data; the callback stays in the slab. Ties on
-  /// `when` break by scheduling order (seq), matching the simulator.
-  struct HeapEntry {
-    SimTime when = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-    std::uint32_t generation = 0;
-  };
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
   [[nodiscard]] bool task_pending(std::uint32_t slot,
-                                  std::uint32_t generation) const override;
-  void cancel_task(std::uint32_t slot, std::uint32_t generation) override;
+                                  std::uint32_t generation) const override {
+    return wheel_.pending(slot, generation);
+  }
+  void cancel_task(std::uint32_t slot, std::uint32_t generation) override {
+    wheel_.cancel(slot, generation);
+  }
 
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t index);
-  /// Drop cancelled records off the top of the timer heap.
-  void purge_dead_tops();
-  /// Fire every timer due at or before the current wall clock. Returns the
-  /// number fired.
-  std::size_t fire_due();
+  /// Fire every batch due at or before the wall clock; returns the next
+  /// due time (kSimTimeMax when no task is pending).
+  SimTime fire_due();
   [[nodiscard]] std::size_t total_in_flight() const;
   /// Flush staged submissions, sweep for ready completions, and block up
   /// to `max_wait` ns for I/O or the deadline (whichever comes first).
@@ -170,15 +147,10 @@ class RealContext final : public ExecutionContext {
   static void drain_event_fd(int fd);
 
   std::chrono::steady_clock::time_point epoch_;
-  std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNoSlot;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> queue_;
+  TimerWheel wheel_;
   std::vector<CompletionDriver*> drivers_;
-  std::size_t live_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
   int epoll_fd_ = -1;  ///< multiplexes driver eventfds + timer_fd_
-  int timer_fd_ = -1;  ///< arms the timer heap's next deadline for epoll
+  int timer_fd_ = -1;  ///< arms the wheel's next due time for epoll
   ReactorStats stats_;
 };
 

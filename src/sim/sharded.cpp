@@ -19,7 +19,7 @@ ShardedEngine::ShardedEngine(std::uint32_t shards, SimTime lookahead)
 }
 
 void ShardedEngine::post(std::uint32_t from, std::uint32_t to, SimTime when,
-                         detail::EventFn fn) {
+                         exec::TaskFn fn) {
   assert(from < shard_count() && to < shard_count());
   if (from == to) {
     shards_[to]->schedule_at(std::max(when, shards_[to]->now()), std::move(fn));

@@ -44,6 +44,7 @@
 #include "common/counters.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
+#include "exec/task_fn.hpp"
 #include "sim/simulator.hpp"
 
 namespace sst::sim {
@@ -93,7 +94,7 @@ class ShardedEngine {
   /// `when >= sender_now + lookahead()`; later deliveries clamp to the
   /// barrier time and count as horizon_violations. `from == to` schedules
   /// directly (an ordinary local event, no mailbox, no lookahead floor).
-  void post(std::uint32_t from, std::uint32_t to, SimTime when, detail::EventFn fn);
+  void post(std::uint32_t from, std::uint32_t to, SimTime when, exec::TaskFn fn);
 
   /// Advance every shard to exactly `deadline` (inclusive of events at
   /// `deadline`, like Simulator::run_until), running windows of
@@ -108,7 +109,7 @@ class ShardedEngine {
  private:
   struct Envelope {
     SimTime when = 0;
-    detail::EventFn fn;
+    exec::TaskFn fn;
   };
 
   /// Double-buffered SPSC channel: the sender's worker appends to

@@ -166,7 +166,7 @@ TEST(Simulator, RunReturnsEventCount) {
 }
 
 TEST(Simulator, DefaultHandleIsInert) {
-  EventHandle h;
+  exec::TaskHandle h;
   EXPECT_FALSE(h.pending());
   h.cancel();  // no-op
 }
@@ -204,7 +204,7 @@ TEST(Simulator, HandleOutlivesDrainedSimulator) {
 
 TEST(Simulator, PendingCountExactUnderMixedCancelAndFire) {
   Simulator s;
-  std::vector<EventHandle> handles;
+  std::vector<exec::TaskHandle> handles;
   for (int i = 0; i < 10; ++i) handles.push_back(s.schedule_at(i + 1, [] {}));
   EXPECT_EQ(s.pending_events(), 10u);
   for (std::size_t i = 0; i < handles.size(); i += 2) handles[i].cancel();
@@ -326,7 +326,7 @@ TEST(Simulator, CancelWorksInEveryResidence) {
 TEST(Simulator, CancelDuringSameTimestampBatch) {
   Simulator s;
   int fired = 0;
-  EventHandle victim;
+  exec::TaskHandle victim;
   s.schedule_at(100, [&] { victim.cancel(); });
   victim = s.schedule_at(100, [&] { ++fired; });
   s.schedule_at(100, [&] { ++fired; });
@@ -368,7 +368,7 @@ TEST(Simulator, DifferentialAgainstReferenceModel) {
   std::vector<int> fired;
   std::vector<int> ref_fired;
   std::vector<std::size_t> live;  // indices into ref, also holding handles
-  std::vector<EventHandle> handles;
+  std::vector<exec::TaskHandle> handles;
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
   auto next_rand = [&rng] {
     rng ^= rng << 13;
