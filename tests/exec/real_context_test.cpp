@@ -1,9 +1,10 @@
 // RealContext reactor tests: timer-slab lifecycle (cancel / reschedule /
-// generation reuse), run_until with interleaved completion drivers, the
-// idle-sleep discipline (no 1 ms polling between timers), and the epoll
-// multiplexing path driven by deterministic fake eventfd-backed drivers —
-// asserting completions are neither lost nor delivered as spurious
-// wakeups.
+// generation reuse), the simulator's ordering rule for tasks scheduled into
+// the past, run_until with interleaved completion drivers, the idle-sleep
+// discipline (no 1 ms polling between timers), the capped in-ring wait
+// shared by several poll-only drivers, and the epoll multiplexing path
+// driven by deterministic fake eventfd-backed drivers — asserting
+// completions are neither lost nor delivered as spurious wakeups.
 //
 // These tests run against the wall clock, so they assert on counts and
 // event ordering, never on precise durations; the only timing bound used
@@ -114,6 +115,22 @@ TEST(RealContextTimerSlab, RescheduleFromCallbackAndCancelSiblingStress) {
   EXPECT_EQ(ctx.pending_tasks(), 0u);
 }
 
+TEST(RealContextTimerWheel, PastTaskFiresAfterTheBatchThatScheduledIt) {
+  RealContext ctx;
+  // A and B share a due time; A schedules P into the past. P clamps to the
+  // wheel's cursor and fires after the rest of A's batch — the simulator's
+  // rule, where a task scheduled during a tick fires after that tick.
+  std::vector<char> order;
+  const SimTime due = ctx.now() + msec(1);
+  ctx.schedule_at(due, [&] {
+    order.push_back('A');
+    ctx.schedule_at(0, [&order] { order.push_back('P'); });
+  });
+  ctx.schedule_at(due, [&order] { order.push_back('B'); });
+  ctx.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'P'}));
+}
+
 TEST(RealContextIdle, SleepsBetweenTimersInsteadOfPolling) {
   RealContext ctx;
   // Five timers 20 ms apart with no I/O in flight: the reactor must sleep
@@ -159,6 +176,7 @@ class TimedPollDriver final : public CompletionDriver {
   [[nodiscard]] std::size_t in_flight() const override { return deadlines_.size(); }
 
   std::size_t delivered = 0;
+  SimTime max_late = 0;  ///< worst delivery delay past a deadline
 
  private:
   std::size_t drain_due() {
@@ -166,6 +184,7 @@ class TimedPollDriver final : public CompletionDriver {
     std::size_t n = 0;
     for (auto it = deadlines_.begin(); it != deadlines_.end();) {
       if (*it <= t) {
+        max_late = std::max(max_late, t - *it);
         it = deadlines_.erase(it);
         ++n;
       } else {
@@ -217,6 +236,34 @@ TEST(RealContextDrivers, RunUntilInterleavesTimersAndCompletions) {
   EXPECT_TRUE(past_fired);
 
   ctx.remove_driver(&driver);
+}
+
+TEST(RealContextDrivers, PollOnlyDriversShareACappedInRingWait) {
+  RealContext ctx;
+  TimedPollDriver slow(ctx);
+  TimedPollDriver fast(ctx);
+  ctx.add_driver(&slow);
+  ctx.add_driver(&fast);
+
+  // Neither driver has an eventfd, so while both are busy the reactor
+  // cannot epoll: it blocks in the first busy driver (`slow`) for at most
+  // 1 ms, then sweeps the other. The cap is what delivers `fast` on time
+  // while `slow`'s only completion is still 100 ms away.
+  const SimTime start = ctx.now();
+  slow.start(start + msec(100));
+  for (int i = 1; i <= 5; ++i) fast.start(start + msec(1) * i);
+  ctx.run();
+
+  EXPECT_EQ(slow.delivered, 1u);
+  EXPECT_EQ(fast.delivered, 5u);
+  EXPECT_LT(fast.max_late, msec(50)) << "fast waited on slow's deadline";
+  const ReactorStats& stats = ctx.reactor_stats();
+  EXPECT_GT(stats.inring_waits, 0u);
+  EXPECT_EQ(stats.epoll_waits, 0u);
+  EXPECT_EQ(stats.completions, 6u);
+
+  ctx.remove_driver(&slow);
+  ctx.remove_driver(&fast);
 }
 
 /// Deterministic eventfd-backed completion source for the epoll path: a
