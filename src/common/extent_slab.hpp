@@ -10,13 +10,15 @@
 // A destroyed slab's backing memory passes to a process-wide spare list per
 // size class, which the next slab draws from before allocating, so a
 // process that builds run after run faults its staging pages in once.
-// Extent memory is never zeroed: a new extent holds whatever its last user
-// (or the heap) left there.
+// Extent memory is 4096-aligned, so staged reads into it can take O_DIRECT,
+// and never zeroed: a new extent holds whatever its last user (or the heap)
+// left there.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -82,6 +84,16 @@ class ExtentSlab {
  public:
   /// Smallest size class; requests round up to the next power of two.
   static constexpr Bytes kMinExtent = 4 * KiB;
+  /// Alignment of every extent's memory: what O_DIRECT asks of a buffer.
+  static constexpr std::size_t kAlignment = 4096;
+
+  struct AlignedDelete {
+    void operator()(std::byte* mem) const {
+      ::operator delete[](mem, std::align_val_t{kAlignment});
+    }
+  };
+  /// One extent's backing memory.
+  using Memory = std::unique_ptr<std::byte[], AlignedDelete>;
 
   ExtentSlab() = default;
   ExtentSlab(const ExtentSlab&) = delete;
@@ -113,7 +125,7 @@ class ExtentSlab {
   friend class ExtentRef;
 
   struct Extent {
-    std::unique_ptr<std::byte[]> mem;
+    Memory mem;
     Bytes capacity = 0;
     std::uint32_t refs = 0;
     std::uint32_t size_class = 0;

@@ -1,10 +1,11 @@
 // ExtentSlab: size-class rounding, refcount lifecycle (drop-to-zero
 // recycling), allocation-free steady state under churn, pointer stability
-// while references are held, and the hand-over of a destroyed slab's
-// memory to the next slab.
+// while references are held, 4096-aligned extent memory, and the
+// hand-over of a destroyed slab's memory to the next slab.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/extent_slab.hpp"
@@ -106,6 +107,20 @@ TEST(ExtentSlab, AccountingTracksPeakReserved) {
   // Reserved memory is recycled, never returned to the heap.
   EXPECT_EQ(slab.stats().reserved_bytes, 12 * KiB);
   EXPECT_EQ(slab.live_bytes(), 0u);
+}
+
+TEST(ExtentSlab, ExtentMemoryIsPageAligned) {
+  // O_DIRECT takes only 4096-aligned buffers: a staged read into a
+  // misaligned extent silently falls back to buffered I/O.
+  ExtentSlab slab;
+  std::vector<ExtentRef> held;
+  for (const Bytes size : {Bytes{1}, 4 * KiB, 8 * KiB, 64 * KiB, 512 * KiB, 1 * MiB, 4 * MiB}) {
+    for (int i = 0; i < 4; ++i) {
+      held.push_back(slab.allocate(size));
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(held.back().data()) % 4096, 0u)
+          << size << " bytes, extent " << i;
+    }
+  }
 }
 
 TEST(ExtentSlab, DestroyedSlabMemoryPassesToTheNextSlab) {
