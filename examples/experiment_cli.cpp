@@ -108,7 +108,8 @@ void print_help() {
       "cartesian product in parallel.\n"
       "\n"
       "Common keys (full reference: src/configio/loaders.hpp):\n"
-      "  topology.controllers=N topology.disks=N    physical node shape\n"
+      "  topology.controllers=N                     physical node shape:\n"
+      "  topology.disks_per_controller=N            controllers x disks\n"
       "  sched.read_ahead=2M sched.memory=800M      stream scheduler (omit\n"
       "                                             sched.* = raw devices)\n"
       "  workload.streams=N workload.request=64K    closed-loop stream clients\n"
@@ -122,10 +123,10 @@ void print_help() {
       "                          real = io_uring + O_DIRECT over backend.path\n"
       "                          (build with -DSST_WITH_URING=ON; pre-format\n"
       "                          the file with scripts/mkpattern.py)\n"
-      "  backend.path=FILE       backing file, one slice per logical device\n"
+      "  backend.path=FILE       backing file, one slice per physical device\n"
       "  backend.queue_depth=64  per-device in-flight depth\n"
       "  backend.direct=true     try O_DIRECT, buffered fallback on refusal\n"
-      "  backend.reactors=1      reactor threads (real mirror of sim.shards)\n"
+      "  backend.reactors=1      reactor threads, planned like sim.shards\n"
       "\n"
       "Observability flags:\n"
       "  --trace=FILE --metrics=FILE --timeseries=FILE\n"

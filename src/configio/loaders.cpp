@@ -129,27 +129,6 @@ Result<core::SchedulerParams> load_scheduler_params(const Config& cfg) {
   return p;
 }
 
-Result<node::NodeConfig> load_node_config(const Config& cfg) {
-  node::NodeConfig n;
-  n.num_controllers =
-      static_cast<std::uint32_t>(cfg.get_int("node.controllers", n.num_controllers));
-  n.disks_per_controller = static_cast<std::uint32_t>(
-      cfg.get_int("node.disks_per_controller", n.disks_per_controller));
-  n.seed = static_cast<std::uint64_t>(cfg.get_int("node.seed", 0)) != 0
-               ? static_cast<std::uint64_t>(cfg.get_int("node.seed", 0))
-               : n.seed;
-  if (n.num_controllers == 0 || n.disks_per_controller == 0) {
-    return make_error("node topology must have at least one controller and disk");
-  }
-  auto disk_params = load_disk_params(cfg);
-  if (!disk_params.ok()) return disk_params.error();
-  n.disk = disk_params.value();
-  auto ctrl_params = load_controller_params(cfg);
-  if (!ctrl_params.ok()) return ctrl_params.error();
-  n.controller = ctrl_params.value();
-  return n;
-}
-
 Result<fault::FaultParams> load_fault_params(const Config& cfg) {
   fault::FaultParams p;
   if (cfg.contains("fault.seed")) {

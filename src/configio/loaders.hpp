@@ -48,10 +48,6 @@ namespace sst::configio {
 /// sched.materialize.
 [[nodiscard]] Result<core::SchedulerParams> load_scheduler_params(const Config& cfg);
 
-/// Keys: node.controllers, node.disks_per_controller, node.seed, plus all
-/// disk.* and ctrl.* keys.
-[[nodiscard]] Result<node::NodeConfig> load_node_config(const Config& cfg);
-
 /// Keys: fault.seed, fault.media_error_rate, fault.persistent_fraction,
 /// fault.transient_failures, fault.hang_prob, fault.spike_prob,
 /// fault.spike (delay), fault.bad_range ("dev:offset:length[,...]"; offset

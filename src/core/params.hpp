@@ -33,10 +33,6 @@ enum class DispatchPolicyKind : std::uint8_t {
   kNearestOffset,
 };
 
-/// Historic name, kept so configs/tests written against the pre-decomposition
-/// scheduler keep compiling.
-using ReplacementPolicyKind = DispatchPolicyKind;
-
 [[nodiscard]] constexpr const char* to_string(DispatchPolicyKind k) {
   switch (k) {
     case DispatchPolicyKind::kRoundRobin: return "round-robin";

@@ -106,16 +106,16 @@ TEST(SchedLoader, PolicyNames) {
 }
 
 TEST(NodeLoader, TopologyAndNestedParams) {
-  const auto n = load_node_config(make({{"node.controllers", "2"},
-                                        {"node.disks_per_controller", "4"},
-                                        {"disk.cache.size", "4M"}}));
+  const auto n = load_topology_spec(make({{"node.controllers", "2"},
+                                          {"node.disks_per_controller", "4"},
+                                          {"disk.cache.size", "4M"}}));
   ASSERT_TRUE(n.ok());
-  EXPECT_EQ(n.value().total_disks(), 8u);
-  EXPECT_EQ(n.value().disk.cache.size, 4 * MiB);
+  EXPECT_EQ(n.value().node.total_disks(), 8u);
+  EXPECT_EQ(n.value().node.disk.cache.size, 4 * MiB);
 }
 
 TEST(NodeLoader, RejectsEmptyTopology) {
-  EXPECT_FALSE(load_node_config(make({{"node.controllers", "0"}})).ok());
+  EXPECT_FALSE(load_topology_spec(make({{"node.controllers", "0"}})).ok());
 }
 
 TEST(ExperimentLoader, RawWhenNoSchedKeys) {
