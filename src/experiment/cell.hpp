@@ -41,6 +41,13 @@ struct CellPlan {
   std::vector<blockdev::BlockDevice*> devices;
 };
 
+/// Cell `k` of `plan` over `topology`: its slice, and the sub-topology it
+/// builds with fault seeds and bad ranges rebased into the slice
+/// (node::TopologySpec::shard_slice). Sim shards and real reactors both
+/// plan their cells through it.
+[[nodiscard]] CellPlan cell_plan(const node::TopologySpec& topology, const ShardPlan& plan,
+                                 std::uint32_t k);
+
 /// Plain-data result of one cell, produced on the thread that ran it. The
 /// counters sit in an ExperimentResult of their own: the resident clients'
 /// throughput (one stream_mbps entry per resident), latency and request

@@ -4,17 +4,19 @@
 // pre-warming and registering the fixed buffers, the drain, and the
 // uring.* / reactor.* counters.
 //
-// backend.reactors = N carves the logical devices into contiguous groups,
-// each with its own context, rings, scheduler share and resident clients on
-// a dedicated thread. Streams pin to devices, so — unlike the sim shards —
-// no cross-thread trampoline is needed: each client lives on the reactor
-// that owns its device.
+// Reactors are planned like sim shards. A file slice has no controller, so
+// plan_shards() runs over the topology with one physical device per
+// controller: backend.reactors = N splits the devices into up to N
+// contiguous groups, a mirror group stays on one reactor and a stripe runs
+// on one. Each group is a cell with its own context, rings, scheduler share
+// and resident clients on a dedicated thread. Streams are homed on the
+// reactor that owns their device, so — unlike the sim shards — no
+// cross-thread trampoline is needed.
 //
-// Scope: the flat device view only. Fault injection, raid, the simulated
-// network link and the sharded engine all model hardware — the real backend
-// has real hardware, so configurations enabling them are rejected rather
-// than half-simulated.
-#include <algorithm>
+// The cells stack fault injection, retry and raid over the rings exactly as
+// over simulated disks. Only the simulated network link and the sharded
+// engine are rejected: a modelled link would add fictional delay to a
+// wall-clock run.
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -63,20 +65,14 @@ namespace {
 void validate(const ExperimentConfig& config) {
   if (config.backend.path.empty()) reject("backend.path is required");
   if (config.shards > 1) reject("sim.shards > 1 is not supported (wall-clock runs are not sharded)");
-  if (config.backend.reactors == 0) reject("backend.reactors must be >= 1");
-  const auto& stack = config.topology.stack;
-  if (stack.fault.enabled()) reject("fault injection models hardware the real backend actually has");
-  if (stack.retry.has_value()) reject("the retry layer is not supported");
-  if (stack.raid.enabled()) reject("raid aggregation is not supported");
-  if (stack.network.has_value()) reject("the simulated network link is not supported");
-  if (config.tracer != nullptr && !config.scheduler.has_value()) {
-    reject("tracing without a scheduler is not supported");
+  if (config.topology.stack.network.has_value()) {
+    reject("the simulated network link would add modelled delay to a wall-clock run");
   }
 }
 
-/// One reactor's cell — a contiguous run of logical devices — plus every
-/// stream homed on them (global ordinal kept for seeds, request ids and
-/// result ordering).
+/// One reactor's cell — a contiguous run of physical devices — plus every
+/// stream homed on them: the global ordinal (kept for seeds, request ids
+/// and result ordering) and the spec with its cell-local device index.
 struct GroupPlan {
   CellPlan cell;
   std::vector<std::pair<std::uint32_t, workload::StreamSpec>> streams;
@@ -144,9 +140,7 @@ GroupOutcome run_reactor_group(const ExperimentConfig& config, const GroupPlan& 
     for (auto& ring : rings) (void)ring->register_buffers(regions);
   }
 
-  for (const auto& [ordinal, planned] : group.streams) {
-    workload::StreamSpec spec = planned;
-    spec.device -= dev_begin;  // group-local device index
+  for (auto [ordinal, spec] : group.streams) {
     // Stream placements were drawn against the simulated disk's capacity;
     // fold them into the (usually much smaller) real slice, preserving the
     // uniform request-aligned spread.
@@ -170,17 +164,24 @@ GroupOutcome run_reactor_group(const ExperimentConfig& config, const GroupPlan& 
   const SimTime t1 = t0 + config.measure;
   ctx.run_until(t1);
 
-  // Stop admitting work, then drain every ring before the cell goes away:
-  // completion callbacks capture its clients, scratch buffers and
-  // attributor. The wait has no bound — a real one needs per-I/O
-  // cancellation, which the rings do not have yet (ROADMAP.md item 2).
+  // Stop admitting work, then drain every ring, and every read-ahead still
+  // queued on the host CPU model, before the cell goes away: completion
+  // callbacks capture its clients, scratch buffers and attributor. The wait
+  // has no bound — a real one needs per-I/O cancellation, which the rings
+  // do not have yet (ROADMAP.md item 2). A request parked in a fault spike
+  // or retry backoff timer is in no ring: its closure is destroyed unfired
+  // with the context, after the cell, so no completion closure may own
+  // memory it returns to the cell.
   cell.close();
-  const auto in_flight = [&rings]() {
-    std::size_t total = 0;
-    for (const auto& ring : rings) total += ring->in_flight();
-    return total;
-  };
-  while (in_flight() > 0) ctx.run_until(ctx.now() + msec(5));
+  const core::HostCpu* cpu = cell.server() ? &cell.server()->scheduler().cpu() : nullptr;
+  for (;;) {
+    const SimTime now = ctx.now();
+    ctx.run_until(now);  // fires every task due by `now`
+    std::size_t in_flight = 0;
+    for (const auto& ring : rings) in_flight += ring->in_flight();
+    if (in_flight == 0 && (cpu == nullptr || cpu->free_at() <= now)) break;
+    ctx.run_until(now + msec(5));
+  }
 
   out.cell = cell.harvest(t0, t1);
   out.cell.part.sim_events_dispatched = ctx.executed_tasks();
@@ -196,9 +197,17 @@ GroupOutcome run_reactor_group(const ExperimentConfig& config, const GroupPlan& 
 ExperimentResult run_experiment_real(const ExperimentConfig& config) {
   validate(config);
 
-  // Carve the backing file into one equal, 4096-aligned slice per logical
+  // A file slice has no controller: plan over one physical device per
+  // controller, so reactors split at device boundaries.
+  node::TopologySpec topology = config.topology;
+  topology.node.num_controllers = topology.node.total_disks();
+  topology.node.disks_per_controller = 1;
+  const ShardPlan plan = plan_shards(topology, config.backend.reactors);
+  const std::uint32_t reactors = plan.shard_count();
+
+  // Carve the backing file into one equal, 4096-aligned slice per physical
   // device — the real counterpart of "N disks".
-  const std::uint32_t device_count = config.topology.logical_device_count();
+  const std::uint32_t device_count = topology.node.num_controllers;
   struct stat st{};
   if (::stat(config.backend.path.c_str(), &st) != 0) {
     reject("cannot stat " + config.backend.path + ": " + std::string(strerror(errno)));
@@ -210,30 +219,16 @@ ExperimentResult run_experiment_real(const ExperimentConfig& config) {
            " device slices");
   }
 
-  // Reactor plan: near-even contiguous device ranges, like sharded
-  // controller slices. The request is clamped to the device count (a
-  // reactor without a device would just spin its timer heap).
-  const std::uint32_t reactors = std::min(config.backend.reactors, device_count);
-  std::vector<GroupPlan> plans(reactors);
-  for (std::uint32_t k = 0; k < reactors; ++k) {
-    CellPlan& cell = plans[k].cell;
-    cell.id = k;
-    cell.count = reactors;
-    cell.slice.dev_begin = cell.slice.logical_begin = k * device_count / reactors;
-    cell.slice.dev_count = cell.slice.logical_count =
-        (k + 1) * device_count / reactors - cell.slice.dev_begin;
-    cell.topology = config.topology;
-  }
-
   // Home every stream on the reactor owning its device, keeping the global
   // ordinal: seeds stay on the shard-0 chain with the global ordinal and
   // rids key on it too, so results are invariant across reactor counts.
+  std::vector<GroupPlan> groups(reactors);
+  for (std::uint32_t k = 0; k < reactors; ++k) groups[k].cell = cell_plan(topology, plan, k);
   for (std::uint32_t i = 0; i < config.streams.size(); ++i) {
     workload::StreamSpec spec = seeded_stream(config, i);
-    if (spec.device >= device_count) reject("stream device index out of range");
-    std::uint32_t owner = reactors - 1;
-    while (spec.device < plans[owner].cell.slice.dev_begin) --owner;
-    plans[owner].streams.emplace_back(i, std::move(spec));
+    const std::uint32_t k = plan.shard_of_logical(spec.device);
+    spec.device -= plan.slices[k].logical_begin;
+    groups[k].streams.emplace_back(i, std::move(spec));
   }
 
   // One pool thread per group. Pool tasks must not throw, so failures are
@@ -242,9 +237,9 @@ ExperimentResult run_experiment_real(const ExperimentConfig& config) {
   {
     ThreadPool pool(reactors);
     for (std::uint32_t k = 0; k < reactors; ++k) {
-      pool.submit([&config, &plans, &outcomes, k, slice]() {
+      pool.submit([&config, &groups, &outcomes, k, slice]() {
         try {
-          outcomes[k] = run_reactor_group(config, plans[k], slice);
+          outcomes[k] = run_reactor_group(config, groups[k], slice);
         } catch (const std::exception& e) {
           outcomes[k].error = e.what();
         }
@@ -265,7 +260,7 @@ ExperimentResult run_experiment_real(const ExperimentConfig& config) {
   ReactorSummary& reactor = result.reactor_summary;
   reactor.enabled = true;
   reactor.reactors = reactors;
-  reactor.requested = config.backend.reactors;
+  reactor.requested = plan.requested;
   for (const GroupOutcome& outcome : outcomes) {
     for (const RingOutcome& ring : outcome.rings) {
       fold_counters(uring, ring.stats);

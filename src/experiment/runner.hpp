@@ -43,17 +43,18 @@ struct BackendConfig {
   enum class Kind : std::uint8_t { kSim, kReal };
   Kind kind = Kind::kSim;
   /// Backing file for kReal (`backend.path`), pre-formatted with
-  /// scripts/mkpattern.py; carved into one slice per logical device.
+  /// scripts/mkpattern.py; carved into one slice per physical device.
   std::string path;
   /// Per-device io_uring depth (`backend.queue_depth`).
   std::uint32_t queue_depth = 64;
   /// Attempt O_DIRECT (`backend.direct`); buffered fallback is automatic
   /// on filesystems that refuse it (tmpfs).
   bool direct = true;
-  /// Reactor threads for kReal (`backend.reactors`). > 1 carves the logical
-  /// devices into contiguous per-reactor groups, each a cell with its own
-  /// RealContext, rings and clients on a dedicated thread — the real-I/O
-  /// counterpart of `sim.shards`. 1 (default) runs one such cell.
+  /// Reactor threads for kReal (`backend.reactors`), at most one per
+  /// device. > 1 splits the devices into contiguous per-reactor groups,
+  /// planned like `sim.shards` (a mirror group stays on one reactor, a
+  /// stripe runs on one), each a cell with its own RealContext, rings and
+  /// clients on a dedicated thread. 1 (default) runs one such cell.
   std::uint32_t reactors = 1;
 };
 
@@ -114,13 +115,13 @@ struct ExperimentConfig {
 /// (sim exports stay byte-identical).
 struct UringSummary : blockdev::UringStats {
   bool enabled = false;
-  std::uint32_t devices = 0;         ///< rings opened (one per logical device)
+  std::uint32_t devices = 0;         ///< rings opened (one per physical device)
   std::uint32_t direct_devices = 0;  ///< rings whose backing fd took O_DIRECT
-  /// Completed requests per logical device (global device order) — the
+  /// Completed requests per ring (global physical device order) — the
   /// balance figure the multi-reactor CI smoke asserts on.
   std::vector<std::uint64_t> per_device_completed;
-  /// IORING_SETUP_* flags per ring (global device order): multiplexed
-  /// rings open without the taskrun flags.
+  /// IORING_SETUP_* flags per ring (global physical device order):
+  /// multiplexed rings open without the taskrun flags.
   std::vector<std::uint32_t> per_device_setup_flags;
 };
 
@@ -204,12 +205,12 @@ struct ExperimentResult {
 [[nodiscard]] bool real_backend_available();
 
 /// Run the configuration against real files: one UringBlockDevice slice of
-/// `backend.path` per logical device under the same cells as the
-/// simulation, on a wall-clock execution context. Supports
-/// the flat device view only (no fault injection, raid, network or sharded
-/// engine — those model hardware the real backend actually has). Throws
-/// std::runtime_error when the backend is unavailable or the backing file
-/// doesn't fit the topology.
+/// `backend.path` per physical device, under the same cells and device
+/// stack (fault injection, retry, raid) as the simulation, on wall-clock
+/// execution contexts. Reactor groups are planned by plan_shards() over
+/// one device per controller. Rejects the simulated network link and
+/// sim.shards > 1; throws std::runtime_error for those, when the backend is
+/// unavailable, or when the backing file doesn't fit the topology.
 [[nodiscard]] ExperimentResult run_experiment_real(const ExperimentConfig& config);
 
 }  // namespace sst::experiment
