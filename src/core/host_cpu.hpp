@@ -3,6 +3,11 @@
 // for a cost that grows with the number of allocated I/O buffers — the
 // buffer-management overhead that caps multi-disk throughput when the
 // dispatch set is as large as the stream population (paper Fig. 12 vs 13).
+//
+// The cost is modelled on the sim backend only. A real experiment cell
+// zeroes HostOverheadParams, so execute() defers each action to the
+// reactor's next turn at no cost (still through schedule_at, keeping the
+// scheduler's re-entrancy), and the real runner reports measured CPU.
 #pragma once
 
 #include "common/types.hpp"

@@ -45,6 +45,8 @@ enum class DispatchPolicyKind : std::uint8_t {
 /// client completion occupies the (single) server CPU for
 /// `base + per_buffer * allocated_buffers`; the CPU serializes, so large
 /// buffered sets throttle multi-disk throughput (paper Fig. 12 vs 13).
+/// A sim-backend property: a real experiment cell zeroes all three costs
+/// and measures its CPU instead.
 struct HostOverheadParams {
   SimTime issue_base = usec(15);
   SimTime complete_base = usec(10);

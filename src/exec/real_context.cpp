@@ -52,9 +52,10 @@ TaskHandle RealContext::schedule_at(SimTime when, TaskFn fn) {
 }
 
 SimTime RealContext::fire_due() {
+  const SimTime turn = now();
   for (;;) {
     const SimTime next = wheel_.next_time();
-    if (next > now()) return next;
+    if (next > turn) return next;
     wheel_.collect_batch(next);
     wheel_.fire_batch(UINT64_MAX);
   }

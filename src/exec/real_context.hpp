@@ -24,7 +24,11 @@
 //
 // Tasks live in an exec::TimerWheel, the simulator's own task store, so
 // both contexts fire the same callback graph under the same ordering
-// rule. Each reactor turn fires every batch the wall clock has reached.
+// rule. Each reactor turn reads the clock once and fires the batches that
+// were due when it began. A task scheduled at now() during the turn waits
+// for the next one, after the driver sweep, so a chain of zero-cost tasks
+// (a buffer hit, its completion, the client's next request, ...) cannot
+// keep the rings unpolled or run past a run_until deadline.
 #pragma once
 
 #include <chrono>
@@ -133,7 +137,8 @@ class RealContext final : public ExecutionContext {
     wheel_.cancel(slot, generation);
   }
 
-  /// Fire every batch due at or before the wall clock; returns the next
+  /// Fire every batch due at or before the clock read on entry; tasks the
+  /// batches schedule at now() wait for the next call. Returns the next
   /// due time (kSimTimeMax when no task is pending).
   SimTime fire_due();
   [[nodiscard]] std::size_t total_in_flight() const;

@@ -90,8 +90,13 @@ Cell::Cell(exec::ExecutionContext& ctx, const ExperimentConfig& config, CellPlan
                          : slice_scheduler_params(*config.scheduler, plan_.slice.logical_count,
                                                   config.topology.logical_device_count());
     // Real I/O needs real memory: staged read-aheads carry destination
-    // buffers the kernel can DMA into.
-    if (real) params.materialize_buffers = true;
+    // buffers the kernel can DMA into. The host CPU model is the sim's: a
+    // real cell runs it at zero cost, so each issue and completion only
+    // waits for the reactor's next turn, and the runner measures the CPU.
+    if (real) {
+      params.materialize_buffers = true;
+      params.host = {0, 0, 0};
+    }
     server_ = std::make_unique<core::StorageServer>(ctx, stack_->devices(), params);
   }
   if (tracer_ != nullptr) {

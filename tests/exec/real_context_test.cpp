@@ -2,9 +2,11 @@
 // generation reuse), the simulator's ordering rule for tasks scheduled into
 // the past, run_until with interleaved completion drivers, the idle-sleep
 // discipline (no 1 ms polling between timers), the capped in-ring wait
-// shared by several poll-only drivers, and the epoll multiplexing path
-// driven by deterministic fake eventfd-backed drivers — asserting
-// completions are neither lost nor delivered as spurious wakeups.
+// shared by several poll-only drivers, turns that fire only what was due
+// when they began (so tasks due now yield to the drivers and the
+// deadline), and the epoll multiplexing path driven by deterministic fake
+// eventfd-backed drivers — asserting completions are neither lost nor
+// delivered as spurious wakeups.
 //
 // These tests run against the wall clock, so they assert on counts and
 // event ordering, never on precise durations; the only timing bound used
@@ -264,6 +266,33 @@ TEST(RealContextDrivers, PollOnlyDriversShareACappedInRingWait) {
 
   ctx.remove_driver(&slow);
   ctx.remove_driver(&fast);
+}
+
+TEST(RealContextDrivers, TasksDueNowYieldToDriversAndTheDeadline) {
+  RealContext ctx;
+  TimedPollDriver driver(ctx);
+  ctx.add_driver(&driver);
+
+  // A chain of tasks each scheduling the next at now() is always due: a
+  // zero-cost host CPU model hands work on this way (a buffer hit, its
+  // completion, the client's next request, ...). Each turn fires only what
+  // was due when it began, so the driver is swept between hops and the
+  // deadline ends the run long before the chain does.
+  constexpr int kHops = 1'000'000;
+  int left = kHops;
+  std::function<void()> hop = [&] {
+    if (--left > 0) ctx.schedule_at(ctx.now(), [&hop] { hop(); });
+  };
+  const SimTime start = ctx.now();
+  driver.start(start + msec(1));
+  ctx.schedule_at(start, [&hop] { hop(); });
+  ctx.run_until(start + msec(2));
+
+  EXPECT_EQ(driver.delivered, 1u);
+  EXPECT_GT(left, 0) << "the whole chain ran inside one turn";
+  EXPECT_LT(left, kHops);
+
+  ctx.remove_driver(&driver);
 }
 
 /// Deterministic eventfd-backed completion source for the epoll path: a
