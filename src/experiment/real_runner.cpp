@@ -1,8 +1,8 @@
 // The real-I/O runner: one Cell per reactor thread, each on its own
 // exec::RealContext over io_uring rings. It adds to the cells what only a
 // real run has: validate(), the backing-file slicing, opening the rings,
-// pre-warming and registering the fixed buffers, the drain, and the
-// uring.* / reactor.* counters.
+// pre-warming and registering the fixed buffers, the drain, each reactor's
+// measured CPU, and the uring.* / reactor.* counters.
 //
 // Reactors are planned like sim shards. A file slice has no controller, so
 // plan_shards() runs over the topology with one physical device per
@@ -28,6 +28,9 @@
 
 #if defined(SST_WITH_URING)
 #include <sys/stat.h>
+
+#include <algorithm>
+#include <ctime>
 
 #include "blockdev/uring_block_device.hpp"
 #include "common/counters.hpp"
@@ -92,6 +95,13 @@ struct GroupOutcome {
   exec::ReactorStats reactor;
   std::string error;  ///< non-empty = the group threw; message to rethrow
 };
+
+/// CPU time the calling thread has used, in nanoseconds.
+SimTime thread_cpu_ns() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<SimTime>(ts.tv_sec) * 1'000'000'000ULL + static_cast<SimTime>(ts.tv_nsec);
+}
 
 /// Run one reactor group start to finish on this thread:
 /// IORING_SETUP_SINGLE_ISSUER binds each ring to the thread that opened it,
@@ -161,17 +171,22 @@ GroupOutcome run_reactor_group(const ExperimentConfig& config, const GroupPlan& 
   ctx.run_until(config.warmup);
   cell.begin_measurement();
   const SimTime t0 = ctx.now();
+  const SimTime cpu0 = thread_cpu_ns();
   const SimTime t1 = t0 + config.measure;
   ctx.run_until(t1);
+  const SimTime cpu_used = thread_cpu_ns() - cpu0;
+  const SimTime ran = ctx.now() - t0;  // run_until returns at or just past t1
 
-  // Stop admitting work, then drain every ring, and every read-ahead still
-  // queued on the host CPU model, before the cell goes away: completion
-  // callbacks capture its clients, scratch buffers and attributor. The wait
-  // has no bound — a real one needs per-I/O cancellation, which the rings
-  // do not have yet (ROADMAP.md item 2). A request parked in a fault spike
-  // or retry backoff timer is in no ring: its closure is destroyed unfired
-  // with the context, after the cell, so no completion closure may own
-  // memory it returns to the cell.
+  // Stop admitting work, then drain every ring, and every read-ahead issue
+  // the host CPU model still defers to the next reactor turn (the model
+  // costs nothing on a real cell, so that is all it holds back), before
+  // the cell goes away: completion callbacks capture its clients, scratch
+  // buffers and attributor. The wait has no bound — a real one needs
+  // per-I/O cancellation, which the rings do not have yet (ROADMAP.md
+  // item 2). A request parked in a fault spike or retry backoff timer is
+  // in no ring: its closure is destroyed unfired with the context, after
+  // the cell, so no completion closure may own memory it returns to the
+  // cell.
   cell.close();
   const core::HostCpu* cpu = cell.server() ? &cell.server()->scheduler().cpu() : nullptr;
   for (;;) {
@@ -185,6 +200,11 @@ GroupOutcome run_reactor_group(const ExperimentConfig& config, const GroupPlan& 
 
   out.cell = cell.harvest(t0, t1);
   out.cell.part.sim_events_dispatched = ctx.executed_tasks();
+  // The reactor's measured CPU share of the window replaces the model's
+  // figure. The thread CPU clock and the monotonic clock may drift apart
+  // by parts per million, so a saturated reactor is held at 1.
+  out.cell.part.host_cpu_utilization =
+      ran > 0 ? std::min(1.0, static_cast<double>(cpu_used) / static_cast<double>(ran)) : 0.0;
   for (const auto& ring : rings) {
     out.rings.push_back({ring->stats(), ring->setup_flags(), ring->using_direct()});
   }

@@ -564,6 +564,10 @@ TEST(SloExperiment, RealRunsShareTheSimMetricSurface) {
       EXPECT_EQ(real_result.reactor_summary.requested, reactors) << label;
       const experiment::UringSummary& uring = real_result.uring_summary;
       EXPECT_EQ(uring.devices, 2u) << label;
+      // The busiest reactor's measured CPU, scheduled or raw: never the
+      // model's figure, which costs nothing on a real cell.
+      EXPECT_GT(real_result.host_cpu_utilization, 0.0) << label;
+      EXPECT_LE(real_result.host_cpu_utilization, 1.0) << label;
       if (real.topology.stack.retry_enabled()) {
         // The retry layer sits over the rings: every command passes it.
         EXPECT_GT(real_result.retry_stats.commands, 0u) << label;
