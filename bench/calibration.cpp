@@ -101,9 +101,12 @@ experiment::ExperimentConfig cal_config(std::uint32_t streams, Bytes request,
     // The paper's R=8M only fits when the backing file is large; scale the
     // per-stream read-ahead down so each device's resident streams' staging
     // stays inside its slice while keeping the request multiple the
-    // scheduler expects.
+    // scheduler expects. A quarter of each stream's region, so every lap
+    // over the region takes four read-aheads: with a read-ahead as large
+    // as the region, clients would mostly re-read data still staged and
+    // the real rows would measure buffer hand-offs, not I/O.
     const std::uint32_t per_device = streams / devices > 0 ? streams / devices : 1;
-    Bytes ra = span / per_device;
+    Bytes ra = span / per_device / 4;
     if (ra > 8 * MiB) ra = 8 * MiB;
     if (ra < request) ra = request;
     ra = ra / request * request;
