@@ -17,9 +17,9 @@
 // Parallel engine keys (see src/configio/loaders.hpp):
 //
 //   sim.shards=N                shard the event engine over N device-stack
-//                               slices (alias: topology.shards; clamped to
-//                               the controller count / raid layout; 1 =
-//                               the classic single-threaded engine)
+//                               slices (clamped to the controller count /
+//                               raid layout; 1 = the classic
+//                               single-threaded engine)
 //   sim.lookahead=500us         conservative barrier horizon == modelled
 //                               cross-shard interconnect latency (0 =
 //                               derive from net.latency or the default)
@@ -68,9 +68,10 @@
 //                               and epoll loop (the real mirror of
 //                               sim.shards)
 //
-// Exit codes: 0 = success, 1 = usage/config/runtime error, 3 = SLO breach,
-// 4 = backend.kind=real without an io_uring build. `--help` prints the key
-// summary.
+// Exit codes: 0 = success, 1 = usage/config/runtime error (an unknown key,
+// a malformed value or a sweep key without values among them), 3 = SLO
+// breach, 4 = backend.kind=real without an io_uring build. `--help` prints
+// the key summary.
 //
 // Prints a result table plus the scheduler/disk counters. See
 // src/configio/loaders.hpp for the full key reference.
@@ -249,8 +250,9 @@ struct SweepAxis {
   std::vector<std::string> values;
 };
 
-/// Split "sweep.<key>=v1,v2,..." entries out of the merged config.
-std::pair<Config, std::vector<SweepAxis>> split_sweep_axes(const Config& merged) {
+/// Split "sweep.<key>=v1,v2,..." entries out of the merged config; a sweep
+/// key without values is an error.
+Result<std::pair<Config, std::vector<SweepAxis>>> split_sweep_axes(const Config& merged) {
   constexpr std::string_view kPrefix = "sweep.";
   Config base;
   std::vector<SweepAxis> axes;
@@ -265,9 +267,10 @@ std::pair<Config, std::vector<SweepAxis>> split_sweep_axes(const Config& merged)
     for (std::string item; std::getline(list, item, ',');) {
       if (!item.empty()) axis.values.push_back(std::move(item));
     }
-    if (!axis.values.empty()) axes.push_back(std::move(axis));
+    if (axis.values.empty()) return make_error(key + " has no values");
+    axes.push_back(std::move(axis));
   }
-  return {std::move(base), std::move(axes)};
+  return std::make_pair(std::move(base), std::move(axes));
 }
 
 /// Cartesian product of the axes, as per-point (key, value) assignments.
@@ -512,7 +515,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto [base, axes] = split_sweep_axes(cfg.value());
+  auto split = split_sweep_axes(cfg.value());
+  if (!split.ok()) {
+    std::fprintf(stderr, "error: %s\n", split.error().message.c_str());
+    return 1;
+  }
+  auto& [base, axes] = split.value();
   if (!axes.empty()) return run_sweep_cli(base, axes, obs);
 
   auto experiment = configio::load_experiment(base);

@@ -75,9 +75,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad arguments: %s\n", parsed.error().message.c_str());
     return 1;
   }
-  const double bitrate_mbps = parsed.value().get_double("bitrate_mbps", 4.0);
-  const auto max_streams =
-      static_cast<std::uint32_t>(parsed.value().get_int("max_streams", 1280));
+  const Config& cfg = parsed.value();
+  const double bitrate_mbps = cfg.get_double("bitrate_mbps", 4.0);
+  const std::uint32_t max_streams = cfg.get_uint32("max_streams", 1280);
+  if (const Status read = cfg.status(true); !read.ok()) {
+    std::fprintf(stderr, "bad arguments: %s\n", read.error().message.c_str());
+    return 1;
+  }
   const double bitrate_bps = bitrate_mbps * 1e6 / 8.0;  // megabit/s -> bytes/s
 
   std::printf("VoD admission on an 8-disk node, %.1f Mb/s per stream\n", bitrate_mbps);

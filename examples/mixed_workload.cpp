@@ -22,8 +22,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad arguments: %s\n", parsed.error().message.c_str());
     return 1;
   }
-  const auto n_seq = static_cast<std::uint32_t>(parsed.value().get_int("seq", 16));
-  const auto n_rand = static_cast<std::uint32_t>(parsed.value().get_int("rand", 8));
+  const Config& cfg = parsed.value();
+  const std::uint32_t n_seq = cfg.get_uint32("seq", 16);
+  const std::uint32_t n_rand = cfg.get_uint32("rand", 8);
+  if (const Status read = cfg.status(true); !read.ok()) {
+    std::fprintf(stderr, "bad arguments: %s\n", read.error().message.c_str());
+    return 1;
+  }
 
   sim::Simulator simulator;
   node::StorageNode node(simulator, node::NodeConfig::base());

@@ -24,11 +24,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   const Config& cfg = parsed.value();
-  const auto streams = static_cast<std::uint32_t>(cfg.get_int("streams", 30));
+  const std::uint32_t streams = cfg.get_uint32("streams", 30);
   const Bytes request = cfg.get_bytes("request", 64 * KiB);
   const Bytes read_ahead = cfg.get_bytes("readahead", 8 * MiB);
   const Bytes memory = cfg.get_bytes("memory", 256 * MiB);
-  const SimTime measure = cfg.get_duration("seconds", sec(10));
+  const SimTime measure = from_seconds(cfg.get_double("seconds", 10.0));
+  if (const Status read = cfg.status(true); !read.ok()) {
+    std::fprintf(stderr, "bad arguments: %s\n", read.error().message.c_str());
+    return 1;
+  }
 
   experiment::ExperimentConfig ec;
   ec.topology.node = node::NodeConfig::base();  // 1 controller x 1 disk

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace sst {
 
@@ -33,6 +35,27 @@ Result<std::pair<double, std::string_view>> split_number_suffix(std::string_view
     return make_error("malformed number: '" + digits + "'");
   }
   return std::make_pair(number, trim(text.substr(pos)));
+}
+
+Result<std::uint64_t> parse_uint(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    return make_error("expected a non-negative integer, got '" + std::string(text) + "'");
+  }
+  return value;
+}
+
+Result<double> parse_number(std::string_view text) {
+  const std::string digits(text);
+  char* end = nullptr;
+  const double value = std::strtod(digits.c_str(), &end);
+  if (end == digits.c_str() || end != digits.c_str() + digits.size() ||
+      !std::isfinite(value) || value < 0.0) {
+    return make_error("expected a non-negative number, got '" + digits + "'");
+  }
+  return value;
 }
 
 }  // namespace
@@ -77,55 +100,69 @@ void Config::set(std::string key, std::string value) {
 
 bool Config::contains(std::string_view key) const { return entries_.find(key) != entries_.end(); }
 
-std::string Config::get_string(std::string_view key, std::string fallback) const {
+const std::string* Config::find(std::string_view key) const {
   const auto it = entries_.find(key);
-  return it == entries_.end() ? fallback : it->second;
+  if (it == entries_.end()) return nullptr;
+  read_.insert(it->first);
+  return &it->second;
 }
 
-std::int64_t Config::get_int(std::string_view key, std::int64_t fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  std::int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(it->second.data(), it->second.data() + it->second.size(), value);
-  return (ec == std::errc{} && ptr == it->second.data() + it->second.size()) ? value : fallback;
+void Config::fail(std::string_view key, const std::string& problem) const {
+  if (first_error_.empty()) first_error_ = std::string(key) + ": " + problem;
+}
+
+Status Config::status(bool every_key_read) const {
+  if (!first_error_.empty()) return make_error(first_error_);
+  if (every_key_read) {
+    for (const auto& [key, value] : entries_) {
+      if (read_.find(key) == read_.end()) return make_error("unknown key: " + key);
+    }
+  }
+  return Status::success();
+}
+
+std::string Config::get_string(std::string_view key, std::string fallback) const {
+  const std::string* text = find(key);
+  return text == nullptr ? fallback : *text;
+}
+
+template <typename T>
+T Config::get_parsed(std::string_view key, T fallback,
+                     Result<T> (*parse)(std::string_view)) const {
+  const std::string* text = find(key);
+  if (text == nullptr) return fallback;
+  const Result<T> value = parse(*text);
+  if (!value.ok()) fail(key, value.error().message);
+  return value.value_or(fallback);
+}
+
+std::uint64_t Config::get_uint(std::string_view key, std::uint64_t fallback) const {
+  return get_parsed(key, fallback, parse_uint);
+}
+
+std::uint32_t Config::get_uint32(std::string_view key, std::uint32_t fallback) const {
+  const std::uint64_t value = get_uint(key, fallback);
+  if (value <= std::numeric_limits<std::uint32_t>::max()) {
+    return static_cast<std::uint32_t>(value);
+  }
+  fail(key, "expected at most 4294967295, got " + std::to_string(value));
+  return fallback;
 }
 
 double Config::get_double(std::string_view key, double fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  return (end == it->second.c_str() + it->second.size()) ? value : fallback;
+  return get_parsed(key, fallback, parse_number);
 }
 
 bool Config::get_bool(std::string_view key, bool fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  const auto parsed = parse_bool(it->second);
-  return parsed.ok() ? parsed.value() : fallback;
+  return get_parsed(key, fallback, parse_bool);
 }
 
 Bytes Config::get_bytes(std::string_view key, Bytes fallback) const {
-  const auto checked = get_bytes_checked(key);
-  return checked.ok() ? checked.value() : fallback;
+  return get_parsed(key, fallback, parse_bytes);
 }
 
 SimTime Config::get_duration(std::string_view key, SimTime fallback) const {
-  const auto checked = get_duration_checked(key);
-  return checked.ok() ? checked.value() : fallback;
-}
-
-Result<Bytes> Config::get_bytes_checked(std::string_view key) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return make_error("missing key: " + std::string(key));
-  return parse_bytes(it->second);
-}
-
-Result<SimTime> Config::get_duration_checked(std::string_view key) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return make_error("missing key: " + std::string(key));
-  return parse_duration(it->second);
+  return get_parsed(key, fallback, parse_duration);
 }
 
 Result<Bytes> Config::parse_bytes(std::string_view text) {
@@ -142,7 +179,11 @@ Result<Bytes> Config::parse_bytes(std::string_view text) {
   else if (s == "M" || s == "MB" || s == "MIB") multiplier = static_cast<double>(MiB);
   else if (s == "G" || s == "GB" || s == "GIB") multiplier = static_cast<double>(GiB);
   else return make_error("unknown size suffix: '" + std::string(suffix) + "'");
-  return static_cast<Bytes>(number * multiplier + 0.5);
+  const double bytes = number * multiplier + 0.5;
+  if (bytes >= static_cast<double>(std::numeric_limits<Bytes>::max())) {
+    return make_error("size out of range: '" + std::string(text) + "'");
+  }
+  return static_cast<Bytes>(bytes);
 }
 
 Result<SimTime> Config::parse_duration(std::string_view text) {
@@ -156,7 +197,11 @@ Result<SimTime> Config::parse_duration(std::string_view text) {
   else if (suffix == "ms") multiplier = 1e6;
   else if (suffix == "s") multiplier = 1e9;
   else return make_error("unknown duration suffix: '" + std::string(suffix) + "'");
-  return static_cast<SimTime>(number * multiplier + 0.5);
+  const double ns = number * multiplier + 0.5;
+  if (ns >= static_cast<double>(std::numeric_limits<SimTime>::max())) {
+    return make_error("duration out of range: '" + std::string(text) + "'");
+  }
+  return static_cast<SimTime>(ns);
 }
 
 Result<bool> Config::parse_bool(std::string_view text) {

@@ -48,39 +48,29 @@ Result<std::uint32_t> parse_index(const std::string& text) {
 Result<disk::DiskParams> load_disk_params(const Config& cfg) {
   disk::DiskParams p = disk::DiskParams::wd800jd();
   p.geometry.capacity = cfg.get_bytes("disk.capacity", p.geometry.capacity);
-  p.geometry.rpm = static_cast<std::uint32_t>(cfg.get_int("disk.rpm", p.geometry.rpm));
-  p.geometry.heads = static_cast<std::uint32_t>(cfg.get_int("disk.heads", p.geometry.heads));
-  p.geometry.num_zones =
-      static_cast<std::uint32_t>(cfg.get_int("disk.zones", p.geometry.num_zones));
-  p.geometry.outer_spt =
-      static_cast<std::uint32_t>(cfg.get_int("disk.outer_spt", p.geometry.outer_spt));
-  p.geometry.inner_spt =
-      static_cast<std::uint32_t>(cfg.get_int("disk.inner_spt", p.geometry.inner_spt));
+  p.geometry.rpm = cfg.get_uint32("disk.rpm", p.geometry.rpm);
+  p.geometry.heads = cfg.get_uint32("disk.heads", p.geometry.heads);
+  p.geometry.num_zones = cfg.get_uint32("disk.zones", p.geometry.num_zones);
+  p.geometry.outer_spt = cfg.get_uint32("disk.outer_spt", p.geometry.outer_spt);
+  p.geometry.inner_spt = cfg.get_uint32("disk.inner_spt", p.geometry.inner_spt);
   p.seek.single_cylinder = cfg.get_duration("disk.seek_single", p.seek.single_cylinder);
   p.seek.average = cfg.get_duration("disk.seek_avg", p.seek.average);
   p.seek.full_stroke = cfg.get_duration("disk.seek_full", p.seek.full_stroke);
   p.cache.size = cfg.get_bytes("disk.cache.size", p.cache.size);
-  p.cache.num_segments =
-      static_cast<std::uint32_t>(cfg.get_int("disk.cache.segments", p.cache.num_segments));
-  if (cfg.contains("disk.cache.read_ahead")) {
-    const auto text = cfg.get_string("disk.cache.read_ahead", "segment");
-    if (text == "segment" || text == "fill") {
-      p.cache.read_ahead = disk::CacheParams::kFillSegment;
-    } else {
-      const auto parsed = Config::parse_bytes(text);
-      if (!parsed.ok()) return parsed.error();
-      p.cache.read_ahead = parsed.value();
-    }
+  p.cache.num_segments = cfg.get_uint32("disk.cache.segments", p.cache.num_segments);
+  const std::string read_ahead = cfg.get_string("disk.cache.read_ahead", "");
+  if (read_ahead == "segment" || read_ahead == "fill") {
+    p.cache.read_ahead = disk::CacheParams::kFillSegment;
+  } else {
+    p.cache.read_ahead = cfg.get_bytes("disk.cache.read_ahead", p.cache.read_ahead);
   }
   p.interface_rate_bps = cfg.get_double("disk.interface_rate_mbps", 150.0) * 1e6;
   p.command_overhead = cfg.get_duration("disk.overhead", p.command_overhead);
-  if (cfg.contains("disk.scheduler")) {
-    const auto name = cfg.get_string("disk.scheduler", "fcfs");
-    if (name == "fcfs") p.scheduler = disk::SchedulerKind::kFcfs;
-    else if (name == "elevator") p.scheduler = disk::SchedulerKind::kElevator;
-    else if (name == "sstf") p.scheduler = disk::SchedulerKind::kSstf;
-    else return make_error("unknown disk.scheduler: '" + name + "'");
-  }
+  p.scheduler = cfg.get_choice("disk.scheduler", p.scheduler,
+                               {{"fcfs", disk::SchedulerKind::kFcfs},
+                                {"elevator", disk::SchedulerKind::kElevator},
+                                {"sstf", disk::SchedulerKind::kSstf}});
+  if (const Status read = cfg.status(false); !read.ok()) return read.error();
   if (p.geometry.inner_spt == 0 || p.geometry.outer_spt < p.geometry.inner_spt) {
     return make_error("disk zone sectors-per-track must satisfy outer >= inner > 0");
   }
@@ -96,34 +86,32 @@ Result<ctrl::ControllerParams> load_controller_params(const Config& cfg) {
   p.prefetch = cfg.get_bytes("ctrl.prefetch", p.prefetch);
   p.transfer_rate_bps = cfg.get_double("ctrl.rate_mbps", 450.0) * 1e6;
   p.command_overhead = cfg.get_duration("ctrl.overhead", p.command_overhead);
+  if (const Status read = cfg.status(false); !read.ok()) return read.error();
   return p;
 }
 
 Result<core::SchedulerParams> load_scheduler_params(const Config& cfg) {
   core::SchedulerParams p;
-  p.dispatch_set_size =
-      static_cast<std::uint32_t>(cfg.get_int("sched.dispatch", p.dispatch_set_size));
+  p.dispatch_set_size = cfg.get_uint32("sched.dispatch", p.dispatch_set_size);
   p.read_ahead = cfg.get_bytes("sched.read_ahead", p.read_ahead);
-  p.requests_per_residency =
-      static_cast<std::uint32_t>(cfg.get_int("sched.residency", p.requests_per_residency));
+  p.requests_per_residency = cfg.get_uint32("sched.residency", p.requests_per_residency);
   p.memory_budget = cfg.get_bytes("sched.memory", p.memory_budget);
-  if (cfg.contains("sched.policy")) {
-    const auto name = cfg.get_string("sched.policy", "round-robin");
-    if (name == "round-robin") p.policy = core::DispatchPolicyKind::kRoundRobin;
-    else if (name == "nearest-offset") p.policy = core::DispatchPolicyKind::kNearestOffset;
-    else return make_error("unknown sched.policy: '" + name + "'");
-  }
+  p.policy = cfg.get_choice("sched.policy", p.policy,
+                            {{"round-robin", core::DispatchPolicyKind::kRoundRobin},
+                             {"nearest-offset", core::DispatchPolicyKind::kNearestOffset}});
   p.classifier.block_bytes =
       cfg.get_bytes("sched.classifier.block", p.classifier.block_bytes);
-  p.classifier.offset_blocks = static_cast<std::uint32_t>(
-      cfg.get_int("sched.classifier.offset_blocks", p.classifier.offset_blocks));
-  p.classifier.detect_threshold = static_cast<std::uint32_t>(
-      cfg.get_int("sched.classifier.threshold", p.classifier.detect_threshold));
+  p.classifier.offset_blocks =
+      cfg.get_uint32("sched.classifier.offset_blocks", p.classifier.offset_blocks);
+  p.classifier.detect_threshold =
+      cfg.get_uint32("sched.classifier.threshold", p.classifier.detect_threshold);
   p.buffer_timeout = cfg.get_duration("sched.buffer_timeout", p.buffer_timeout);
   p.pending_timeout = cfg.get_duration("sched.pending_timeout", p.pending_timeout);
   p.stream_timeout = cfg.get_duration("sched.stream_timeout", p.stream_timeout);
   p.gc_period = cfg.get_duration("sched.gc_period", p.gc_period);
   p.materialize_buffers = cfg.get_bool("sched.materialize", p.materialize_buffers);
+  p.device_fail_threshold = cfg.get_uint32("sched.fail_threshold", p.device_fail_threshold);
+  if (const Status read = cfg.status(false); !read.ok()) return read.error();
   const Status valid = p.validate();
   if (!valid.ok()) return valid.error();
   return p;
@@ -131,47 +119,40 @@ Result<core::SchedulerParams> load_scheduler_params(const Config& cfg) {
 
 Result<fault::FaultParams> load_fault_params(const Config& cfg) {
   fault::FaultParams p;
-  if (cfg.contains("fault.seed")) {
-    p.seed = static_cast<std::uint64_t>(cfg.get_int("fault.seed", 0));
-  }
+  p.seed = cfg.get_uint("fault.seed", p.seed);
   p.media_error_rate = cfg.get_double("fault.media_error_rate", p.media_error_rate);
   p.persistent_fraction =
       cfg.get_double("fault.persistent_fraction", p.persistent_fraction);
-  p.transient_failures = static_cast<std::uint32_t>(
-      cfg.get_int("fault.transient_failures", p.transient_failures));
+  p.transient_failures = cfg.get_uint32("fault.transient_failures", p.transient_failures);
   p.hang_prob = cfg.get_double("fault.hang_prob", p.hang_prob);
   p.spike_prob = cfg.get_double("fault.spike_prob", p.spike_prob);
   p.spike_delay = cfg.get_duration("fault.spike", p.spike_delay);
-  if (cfg.contains("fault.bad_range")) {
-    // dev:offset:length[,dev:offset:length...]; offset/length take size
-    // suffixes (e.g. "0:1G:64K").
-    for (const std::string& entry :
-         split(cfg.get_string("fault.bad_range", ""), ',')) {
-      const auto fields = split(entry, ':');
-      if (fields.size() != 3) {
-        return make_error("fault.bad_range entry must be dev:offset:length, got '" +
-                          entry + "'");
-      }
-      fault::BadRange range;
-      const auto device = parse_index(fields[0]);
-      if (!device.ok()) return device.error();
-      range.device = device.value();
-      const auto offset = Config::parse_bytes(fields[1]);
-      if (!offset.ok()) return offset.error();
-      range.offset = offset.value();
-      const auto length = Config::parse_bytes(fields[2]);
-      if (!length.ok()) return length.error();
-      range.length = length.value();
-      p.bad_ranges.push_back(range);
+  // dev:offset:length[,dev:offset:length...]; offset/length take size
+  // suffixes (e.g. "0:1G:64K").
+  for (const std::string& entry : split(cfg.get_string("fault.bad_range", ""), ',')) {
+    const auto fields = split(entry, ':');
+    if (fields.size() != 3) {
+      return make_error("fault.bad_range entry must be dev:offset:length, got '" + entry +
+                        "'");
     }
+    fault::BadRange range;
+    const auto device = parse_index(fields[0]);
+    if (!device.ok()) return make_error("fault.bad_range: " + device.error().message);
+    range.device = device.value();
+    const auto offset = Config::parse_bytes(fields[1]);
+    if (!offset.ok()) return make_error("fault.bad_range: " + offset.error().message);
+    range.offset = offset.value();
+    const auto length = Config::parse_bytes(fields[2]);
+    if (!length.ok()) return make_error("fault.bad_range: " + length.error().message);
+    range.length = length.value();
+    p.bad_ranges.push_back(range);
   }
-  if (cfg.contains("fault.devices")) {
-    for (const std::string& entry : split(cfg.get_string("fault.devices", ""), ',')) {
-      const auto device = parse_index(entry);
-      if (!device.ok()) return device.error();
-      p.devices.push_back(device.value());
-    }
+  for (const std::string& entry : split(cfg.get_string("fault.devices", ""), ',')) {
+    const auto device = parse_index(entry);
+    if (!device.ok()) return make_error("fault.devices: " + device.error().message);
+    p.devices.push_back(device.value());
   }
+  if (const Status read = cfg.status(false); !read.ok()) return read.error();
   const Status valid = p.validate();
   if (!valid.ok()) return valid.error();
   return p;
@@ -180,9 +161,10 @@ Result<fault::FaultParams> load_fault_params(const Config& cfg) {
 Result<core::RetryParams> load_retry_params(const Config& cfg) {
   core::RetryParams p;
   p.command_timeout = cfg.get_duration("retry.timeout", p.command_timeout);
-  p.max_retries = static_cast<std::uint32_t>(cfg.get_int("retry.retries", p.max_retries));
+  p.max_retries = cfg.get_uint32("retry.retries", p.max_retries);
   p.backoff_base = cfg.get_duration("retry.backoff", p.backoff_base);
   p.backoff_cap = cfg.get_duration("retry.backoff_cap", p.backoff_cap);
+  if (const Status read = cfg.status(false); !read.ok()) return read.error();
   const Status valid = p.validate();
   if (!valid.ok()) return valid.error();
   return p;
@@ -196,6 +178,7 @@ Result<net::LinkParams> load_link_params(const Config& cfg) {
   p.header_bytes = cfg.get_bytes("net.header", p.header_bytes);
   p.responses_carry_data =
       cfg.get_bool("net.responses_carry_data", p.responses_carry_data);
+  if (const Status read = cfg.status(false); !read.ok()) return read.error();
   if (p.bandwidth_bps <= 0.0) {
     return make_error("net.bandwidth_mbps must be > 0");
   }
@@ -207,59 +190,42 @@ Result<io::StackSpec> load_stack_spec(const Config& cfg) {
   auto fault = load_fault_params(cfg);
   if (!fault.ok()) return fault.error();
   spec.fault = fault.value();
-  const bool retry_enabled = cfg.get_bool("retry.enable", has_prefix(cfg, "retry."));
-  if (retry_enabled) {
-    auto retry = load_retry_params(cfg);
-    if (!retry.ok()) return retry.error();
-    spec.retry = retry.value();
-  }
-  if (cfg.contains("stack.raid")) {
-    const auto name = cfg.get_string("stack.raid", "none");
-    if (name == "none") spec.raid.kind = io::RaidSpec::Kind::kNone;
-    else if (name == "mirror") spec.raid.kind = io::RaidSpec::Kind::kMirror;
-    else if (name == "stripe") spec.raid.kind = io::RaidSpec::Kind::kStripe;
-    else return make_error("unknown stack.raid: '" + name + "'");
-  }
-  spec.raid.mirror_ways =
-      static_cast<std::uint32_t>(cfg.get_int("stack.mirror.ways", spec.raid.mirror_ways));
-  if (cfg.contains("stack.mirror.policy")) {
-    const auto name = cfg.get_string("stack.mirror.policy", "region-affine");
-    if (name == "round-robin") spec.raid.mirror_policy = raid::ReadPolicy::kRoundRobin;
-    else if (name == "region-affine") spec.raid.mirror_policy = raid::ReadPolicy::kRegionAffine;
-    else return make_error("unknown stack.mirror.policy: '" + name + "'");
-  }
-  spec.raid.mirror.fail_threshold = static_cast<std::uint32_t>(
-      cfg.get_int("stack.mirror.fail_threshold", spec.raid.mirror.fail_threshold));
+  // A disabled layer's keys are parsed and checked all the same.
+  auto retry = load_retry_params(cfg);
+  if (!retry.ok()) return retry.error();
+  if (cfg.get_bool("retry.enable", has_prefix(cfg, "retry."))) spec.retry = retry.value();
+  spec.raid.kind = cfg.get_choice("stack.raid", spec.raid.kind,
+                                  {{"none", io::RaidSpec::Kind::kNone},
+                                   {"mirror", io::RaidSpec::Kind::kMirror},
+                                   {"stripe", io::RaidSpec::Kind::kStripe}});
+  spec.raid.mirror_ways = cfg.get_uint32("stack.mirror.ways", spec.raid.mirror_ways);
+  spec.raid.mirror_policy =
+      cfg.get_choice("stack.mirror.policy", spec.raid.mirror_policy,
+                     {{"round-robin", raid::ReadPolicy::kRoundRobin},
+                      {"region-affine", raid::ReadPolicy::kRegionAffine}});
+  spec.raid.mirror.fail_threshold =
+      cfg.get_uint32("stack.mirror.fail_threshold", spec.raid.mirror.fail_threshold);
   spec.raid.stripe_unit = cfg.get_bytes("stack.stripe_unit", spec.raid.stripe_unit);
-  const bool net_enabled = cfg.get_bool("net.enable", has_prefix(cfg, "net."));
-  if (net_enabled) {
-    auto link = load_link_params(cfg);
-    if (!link.ok()) return link.error();
-    spec.network = link.value();
-  }
+  auto link = load_link_params(cfg);
+  if (!link.ok()) return link.error();
+  if (cfg.get_bool("net.enable", has_prefix(cfg, "net."))) spec.network = link.value();
+  if (const Status read = cfg.status(false); !read.ok()) return read.error();
   return spec;
 }
 
 Result<node::TopologySpec> load_topology_spec(const Config& cfg) {
   node::TopologySpec spec;
-  if (cfg.contains("topology.preset")) {
-    const auto name = cfg.get_string("topology.preset", "base");
-    if (name == "base") spec.node = node::NodeConfig{};
-    else if (name == "medium") spec.node = node::NodeConfig::medium();
-    else if (name == "large") spec.node = node::NodeConfig::large();
-    else return make_error("unknown topology.preset: '" + name + "'");
+  spec.node = cfg.get_choice("topology.preset", spec.node,
+                             {{"base", node::NodeConfig::base()},
+                              {"medium", node::NodeConfig::medium()},
+                              {"large", node::NodeConfig::large()}});
+  spec.node.num_controllers =
+      cfg.get_uint32("topology.controllers", spec.node.num_controllers);
+  spec.node.disks_per_controller =
+      cfg.get_uint32("topology.disks_per_controller", spec.node.disks_per_controller);
+  if (const std::uint64_t seed = cfg.get_uint("topology.seed", 0); seed != 0) {
+    spec.node.seed = seed;
   }
-  // topology.* spellings alias the historical node.* keys; both work, with
-  // the topology.* form winning when both are present.
-  spec.node.num_controllers = static_cast<std::uint32_t>(cfg.get_int(
-      "topology.controllers",
-      cfg.get_int("node.controllers", spec.node.num_controllers)));
-  spec.node.disks_per_controller = static_cast<std::uint32_t>(cfg.get_int(
-      "topology.disks_per_controller",
-      cfg.get_int("node.disks_per_controller", spec.node.disks_per_controller)));
-  const auto seed = static_cast<std::uint64_t>(
-      cfg.get_int("topology.seed", cfg.get_int("node.seed", 0)));
-  if (seed != 0) spec.node.seed = seed;
   if (spec.node.num_controllers == 0 || spec.node.disks_per_controller == 0) {
     return make_error("node topology must have at least one controller and disk");
   }
@@ -291,15 +257,12 @@ Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
   if (!topology.ok()) return topology.error();
   ec.topology = topology.value();
 
-  const bool sched_enabled = cfg.get_bool("sched.enable", has_prefix(cfg, "sched."));
-  if (sched_enabled) {
-    auto sched = load_scheduler_params(cfg);
-    if (!sched.ok()) return sched.error();
-    ec.scheduler = sched.value();
-  }
+  // A disabled scheduler's keys are parsed and checked all the same.
+  auto sched = load_scheduler_params(cfg);
+  if (!sched.ok()) return sched.error();
+  if (cfg.get_bool("sched.enable", has_prefix(cfg, "sched."))) ec.scheduler = sched.value();
 
-  const auto streams =
-      static_cast<std::uint32_t>(cfg.get_int("workload.streams", 10));
+  const std::uint32_t streams = cfg.get_uint32("workload.streams", 10);
   const Bytes request = cfg.get_bytes("workload.request", 64 * KiB);
   if (streams == 0) return make_error("workload.streams must be >= 1");
   if (request == 0 || request % kSectorSize != 0) {
@@ -309,8 +272,7 @@ Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
   // gets every stream, mirror groups share them like plain disks.
   ec.streams = workload::make_uniform_streams(streams, ec.topology.logical_device_count(),
                                               ec.topology.logical_device_capacity(), request);
-  const auto outstanding =
-      static_cast<std::uint32_t>(cfg.get_int("workload.outstanding", 1));
+  const std::uint32_t outstanding = cfg.get_uint32("workload.outstanding", 1);
   const SimTime think = cfg.get_duration("workload.think", 0);
   const SimTime jitter = cfg.get_duration("workload.think_jitter", 0);
   const SimTime period = cfg.get_duration("workload.issue_period", 0);
@@ -320,19 +282,14 @@ Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
     spec.think_jitter = jitter;
     spec.issue_period = period;
   }
-  const auto workload_seed =
-      static_cast<std::uint64_t>(cfg.get_int("workload.seed", 0));
-  if (workload_seed != 0) ec.workload_seed = workload_seed;
+  if (const std::uint64_t seed = cfg.get_uint("workload.seed", 0); seed != 0) {
+    ec.workload_seed = seed;
+  }
   ec.warmup = cfg.get_duration("run.warmup", ec.warmup);
   ec.measure = cfg.get_duration("run.measure", ec.measure);
-  const auto shards = cfg.get_int("sim.shards", cfg.get_int("topology.shards", 1));
-  if (shards < 1) return make_error("sim.shards must be >= 1");
-  ec.shards = static_cast<std::uint32_t>(shards);
+  ec.shards = cfg.get_uint32("sim.shards", ec.shards);
+  if (ec.shards < 1) return make_error("sim.shards must be >= 1");
   ec.lookahead = cfg.get_duration("sim.lookahead", 0);
-  if (cfg.contains("sched.fail_threshold") && ec.scheduler.has_value()) {
-    ec.scheduler->device_fail_threshold = static_cast<std::uint32_t>(
-        cfg.get_int("sched.fail_threshold", ec.scheduler->device_fail_threshold));
-  }
 
   // Tail-latency SLO: declaring an objective enables the engine.
   ec.slo.objective = cfg.get_duration("slo.objective", 0);
@@ -345,29 +302,25 @@ Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
     return make_error("slo.window must be > 0");
   }
   ec.slo.burn_rate = cfg.get_double("slo.burn_rate", ec.slo.burn_rate);
-  if (ec.slo.burn_rate < 0.0 || ec.slo.burn_rate > 1.0) {
+  if (ec.slo.burn_rate > 1.0) {
     return make_error("slo.burn_rate must be in [0, 1]");
   }
   ec.attribution = cfg.get_bool("obs.attribution", false);
 
   // Execution backend: sim (default, deterministic) or real (io_uring over
   // a backing file; requires a -DSST_WITH_URING=ON build).
-  const std::string backend_kind = cfg.get_string("backend.kind", "sim");
-  if (backend_kind == "real") {
-    ec.backend.kind = experiment::BackendConfig::Kind::kReal;
-  } else if (backend_kind != "sim") {
-    return make_error("backend.kind must be sim or real, got '" + backend_kind + "'");
-  }
+  using Kind = experiment::BackendConfig::Kind;
+  ec.backend.kind = cfg.get_choice("backend.kind", ec.backend.kind,
+                                   {{"sim", Kind::kSim}, {"real", Kind::kReal}});
   ec.backend.path = cfg.get_string("backend.path", "");
-  const auto queue_depth = cfg.get_int("backend.queue_depth", ec.backend.queue_depth);
-  if (queue_depth < 1) return make_error("backend.queue_depth must be >= 1");
-  ec.backend.queue_depth = static_cast<std::uint32_t>(queue_depth);
+  ec.backend.queue_depth = cfg.get_uint32("backend.queue_depth", ec.backend.queue_depth);
+  if (ec.backend.queue_depth < 1) return make_error("backend.queue_depth must be >= 1");
   ec.backend.direct = cfg.get_bool("backend.direct", ec.backend.direct);
-  const auto reactors = cfg.get_int("backend.reactors", ec.backend.reactors);
-  if (reactors < 1) return make_error("backend.reactors must be >= 1");
-  ec.backend.reactors = static_cast<std::uint32_t>(reactors);
-  if (ec.backend.kind == experiment::BackendConfig::Kind::kReal &&
-      ec.backend.path.empty()) {
+  ec.backend.reactors = cfg.get_uint32("backend.reactors", ec.backend.reactors);
+  if (ec.backend.reactors < 1) return make_error("backend.reactors must be >= 1");
+  // The one place a key no loader read is rejected.
+  if (const Status read = cfg.status(true); !read.ok()) return read.error();
+  if (ec.backend.kind == Kind::kReal && ec.backend.path.empty()) {
     return make_error("backend.kind=real requires backend.path");
   }
   return ec;

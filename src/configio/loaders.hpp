@@ -2,11 +2,13 @@
 // system from a flat key=value Config (file or command line), so whole
 // experiments are reproducible from a single text description. Keys are
 // namespaced with dotted prefixes; anything omitted keeps its documented
-// default.
+// default. Every loader returns its config's first error (a malformed,
+// negative or out-of-range value, named by key), and load_experiment also
+// rejects any key that no loader read.
 //
 //   # one controller, one WD800JD-class disk, the paper's Fig. 10 point
-//   node.controllers = 1
-//   node.disks_per_controller = 1
+//   topology.controllers = 1
+//   topology.disks_per_controller = 1
 //   disk.capacity = 80G
 //   disk.cache.size = 8M
 //   sched.read_ahead = 8M
@@ -45,7 +47,7 @@ namespace sst::configio {
 /// (round-robin|nearest-offset), sched.classifier.block,
 /// sched.classifier.offset_blocks, sched.classifier.threshold,
 /// sched.buffer_timeout, sched.pending_timeout, sched.stream_timeout, sched.gc_period,
-/// sched.materialize.
+/// sched.materialize, sched.fail_threshold (device errors before eviction).
 [[nodiscard]] Result<core::SchedulerParams> load_scheduler_params(const Config& cfg);
 
 /// Keys: fault.seed, fault.media_error_rate, fault.persistent_fraction,
@@ -65,31 +67,34 @@ namespace sst::configio {
 /// The declarative device stack above the node's disks. Keys: all fault.*
 /// keys, retry.enable (default: true when any retry.* key is present;
 /// faults alone enable default retries) + retry.* keys, net.enable
-/// (default: true when any net.* key is present) + net.* keys, and the
-/// raid aggregation: stack.raid (none|mirror|stripe), stack.mirror.ways,
-/// stack.mirror.policy (round-robin|region-affine),
-/// stack.mirror.fail_threshold, stack.stripe_unit.
+/// (default: true when any net.* key is present) + net.* keys (a disabled
+/// layer's keys are still checked), and the raid aggregation: stack.raid
+/// (none|mirror|stripe), stack.mirror.ways, stack.mirror.policy
+/// (round-robin|region-affine), stack.mirror.fail_threshold,
+/// stack.stripe_unit.
 [[nodiscard]] Result<io::StackSpec> load_stack_spec(const Config& cfg);
 
 /// The whole deployment: node plus stack. Keys: topology.preset
-/// (base|medium|large), topology.controllers, topology.disks_per_controller
-/// and topology.seed (aliases of the node.* spellings, which stay
-/// supported), all disk.*/ctrl.* keys, and every stack key above.
+/// (base|medium|large), topology.controllers, topology.disks_per_controller,
+/// topology.seed (0 = keep the built-in seed), all disk.*/ctrl.* keys, and
+/// every stack key above.
 [[nodiscard]] Result<node::TopologySpec> load_topology_spec(const Config& cfg);
 
 /// Keys: all of the above plus workload.streams, workload.request,
 /// workload.outstanding, workload.think, workload.think_jitter,
 /// workload.seed (0 = keep the built-in default), workload.issue_period,
 /// run.warmup, run.measure, sched.enable (default: true when any sched.*
-/// key is present), sim.shards (alias topology.shards; event-engine shards,
-/// 1 = single-threaded) and sim.lookahead (cross-shard barrier horizon;
-/// 0 = derive from the network latency or the built-in default). Tail
-/// latency: slo.objective (duration; > 0 enables the SLO engine),
+/// key is present; a disabled scheduler's keys are still checked),
+/// sim.shards (event-engine shards, 1 = single-threaded) and sim.lookahead
+/// (cross-shard barrier horizon; 0 = derive from the network latency or the
+/// built-in default). Tail latency: slo.objective (duration; > 0 enables
+/// the SLO engine),
 /// slo.quantile (target quantile in (0,1], default 0.99), slo.window
 /// (evaluation window, default 1s), slo.burn_rate (allowed breaching-window
 /// fraction, default 0) and obs.attribution (bool; per-request stage
 /// attribution, implied by an enabled SLO). Stream specs are sized against
-/// the topology's logical device view (e.g. one striped volume).
+/// the topology's logical device view (e.g. one striped volume). A key that
+/// none of these loaders reads is an error.
 [[nodiscard]] Result<experiment::ExperimentConfig> load_experiment(const Config& cfg);
 
 }  // namespace sst::configio

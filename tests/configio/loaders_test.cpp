@@ -4,6 +4,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 namespace sst::configio {
 namespace {
@@ -105,9 +106,16 @@ TEST(SchedLoader, PolicyNames) {
   EXPECT_FALSE(load_scheduler_params(make({{"sched.policy", "lifo"}})).ok());
 }
 
+TEST(SchedLoader, FailThresholdAppliesAndRejectsZero) {
+  const auto p = load_scheduler_params(make({{"sched.fail_threshold", "5"}}));
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p.value().device_fail_threshold, 5u);
+  EXPECT_FALSE(load_scheduler_params(make({{"sched.fail_threshold", "0"}})).ok());
+}
+
 TEST(NodeLoader, TopologyAndNestedParams) {
-  const auto n = load_topology_spec(make({{"node.controllers", "2"},
-                                          {"node.disks_per_controller", "4"},
+  const auto n = load_topology_spec(make({{"topology.controllers", "2"},
+                                          {"topology.disks_per_controller", "4"},
                                           {"disk.cache.size", "4M"}}));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value().node.total_disks(), 8u);
@@ -115,7 +123,7 @@ TEST(NodeLoader, TopologyAndNestedParams) {
 }
 
 TEST(NodeLoader, RejectsEmptyTopology) {
-  EXPECT_FALSE(load_topology_spec(make({{"node.controllers", "0"}})).ok());
+  EXPECT_FALSE(load_topology_spec(make({{"topology.controllers", "0"}})).ok());
 }
 
 TEST(ExperimentLoader, RawWhenNoSchedKeys) {
@@ -137,6 +145,47 @@ TEST(ExperimentLoader, SchedulerDisabledExplicitly) {
       load_experiment(make({{"sched.read_ahead", "1M"}, {"sched.enable", "false"}}));
   ASSERT_TRUE(e.ok());
   EXPECT_FALSE(e.value().scheduler.has_value());
+}
+
+TEST(ExperimentLoader, DisabledGroupsCheckTheirKeys) {
+  // A disabled group's keys are read, so they are not unknown keys...
+  const auto e =
+      load_experiment(make({{"sched.enable", "false"}, {"sched.read_ahead", "8M"}}));
+  ASSERT_TRUE(e.ok()) << e.error().message;
+  EXPECT_FALSE(e.value().scheduler.has_value());
+  // ...and an invalid value in one is rejected as in an enabled group.
+  for (const auto& [enable, key, value] :
+       {std::tuple{"sched.enable", "sched.read_ahead", "8x"},
+        std::tuple{"sched.enable", "sched.fail_threshold", "0"},
+        std::tuple{"retry.enable", "retry.retries", "-1"},
+        std::tuple{"net.enable", "net.latency", "5q"}}) {
+    const auto bad = load_experiment(make({{enable, "false"}, {key, value}}));
+    EXPECT_FALSE(bad.ok()) << key << "=" << value;
+  }
+}
+
+TEST(ExperimentLoader, RejectsMisreadAndRetiredKeys) {
+  // A misspelt key, a malformed or negative value and each retired alias
+  // spelling fail the load with an error naming the key.
+  for (const auto& [key, value] : {std::pair{"sched.readahead", "8M"},
+                                   std::pair{"workload.streams", "4x"},
+                                   std::pair{"run.measure", "2sec"},
+                                   std::pair{"workload.streams", "-1"},
+                                   std::pair{"node.controllers", "2"},
+                                   std::pair{"node.disks_per_controller", "2"},
+                                   std::pair{"node.seed", "7"},
+                                   std::pair{"topology.shards", "2"}}) {
+    const auto e = load_experiment(make({{key, value}}));
+    ASSERT_FALSE(e.ok()) << key << "=" << value;
+    EXPECT_NE(e.error().message.find(key), std::string::npos) << e.error().message;
+  }
+  // With several, the error names the first misread key.
+  const auto e = load_experiment(make({{"workload.streams", "4x"},
+                                       {"run.warmup", "100ms"},
+                                       {"run.measure", "2sec"},
+                                       {"sched.readahead", "8M"}}));
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.error().message.rfind("workload.streams: ", 0), 0u) << e.error().message;
 }
 
 TEST(ExperimentLoader, WorkloadShapeApplied) {
@@ -377,23 +426,20 @@ TEST(StackLoader, RaidKeysApply) {
   EXPECT_FALSE(load_stack_spec(make({{"stack.mirror.policy", "random"}})).ok());
 }
 
-TEST(TopologyLoader, PresetAndAliasesApply) {
+TEST(TopologyLoader, PresetAndKeysApply) {
   const auto medium = load_topology_spec(make({{"topology.preset", "medium"}}));
   ASSERT_TRUE(medium.ok());
   EXPECT_EQ(medium.value().node.total_disks(), 8u);
 
-  // topology.* spellings alias node.* and win when both are present.
-  const auto aliased = load_topology_spec(make({{"topology.controllers", "2"},
-                                                {"topology.disks_per_controller", "3"},
-                                                {"node.controllers", "7"}}));
-  ASSERT_TRUE(aliased.ok());
-  EXPECT_EQ(aliased.value().node.num_controllers, 2u);
-  EXPECT_EQ(aliased.value().node.disks_per_controller, 3u);
-
-  const auto legacy = load_topology_spec(make({{"node.controllers", "2"},
-                                               {"node.disks_per_controller", "2"}}));
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy.value().node.total_disks(), 4u);
+  // Explicit counts override the preset's.
+  const auto shaped = load_topology_spec(make({{"topology.preset", "medium"},
+                                               {"topology.controllers", "2"},
+                                               {"topology.disks_per_controller", "3"},
+                                               {"topology.seed", "7"}}));
+  ASSERT_TRUE(shaped.ok());
+  EXPECT_EQ(shaped.value().node.num_controllers, 2u);
+  EXPECT_EQ(shaped.value().node.disks_per_controller, 3u);
+  EXPECT_EQ(shaped.value().node.seed, 7u);
 
   EXPECT_FALSE(load_topology_spec(make({{"topology.preset", "huge"}})).ok());
 }
@@ -454,15 +500,6 @@ TEST(ExperimentLoader, ParallelEngineKeys) {
   for (const auto& spec : e.value().streams) {
     EXPECT_EQ(spec.think_jitter, msec(3));
   }
-
-  // topology.shards is an accepted alias; sim.shards wins when both given.
-  const auto alias = load_experiment(make({{"topology.shards", "2"}}));
-  ASSERT_TRUE(alias.ok());
-  EXPECT_EQ(alias.value().shards, 2u);
-  const auto both = load_experiment(
-      make({{"topology.shards", "2"}, {"sim.shards", "3"}}));
-  ASSERT_TRUE(both.ok());
-  EXPECT_EQ(both.value().shards, 3u);
 
   EXPECT_FALSE(load_experiment(make({{"sim.shards", "0"}})).ok());
 }
