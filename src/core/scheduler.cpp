@@ -163,14 +163,7 @@ void StreamScheduler::enqueue(Stream& stream, ClientRequest request) {
     stream.served_upto = stream.last_fallback_end;
     stream.at_device_end = false;
   }
-  blockdev::BlockRequest direct;
-  direct.offset = request.offset;
-  direct.length = request.length;
-  direct.op = IoOp::kRead;
-  direct.id = request.id;
-  direct.data = request.data;
-  direct.on_complete = std::move(request.on_complete);
-  devices_[stream.device]->submit(std::move(direct));
+  devices_[stream.device]->submit(to_block_request(std::move(request)));
 }
 
 void StreamScheduler::make_candidate(Stream& stream) {
@@ -527,14 +520,7 @@ void StreamScheduler::collect_garbage() {
           tracer_->instant(obs::kSchedulerTrack, "scheduler", "escalated_read",
                            sim_.now(), "stream", static_cast<double>(stream->id));
         }
-        blockdev::BlockRequest direct;
-        direct.offset = req.offset;
-        direct.length = req.length;
-        direct.op = IoOp::kRead;
-        direct.id = req.id;
-        direct.data = req.data;
-        direct.on_complete = std::move(req.on_complete);
-        devices_[stream->device]->submit(std::move(direct));
+        devices_[stream->device]->submit(to_block_request(std::move(req)));
       }
       node = next;
     }

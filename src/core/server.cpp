@@ -93,7 +93,7 @@ void StorageServer::submit(ClientRequest request) {
     if (request.trace != nullptr) {
       stamp_request(request, obs::RequestRoute::kDirectWrite);
     }
-    direct(std::move(request));
+    devices_[request.device]->submit(to_block_request(std::move(request)));
     return;
   }
 
@@ -131,18 +131,7 @@ void StorageServer::submit(ClientRequest request) {
   ++stats_.direct_reads;
   if (tracer_ != nullptr) trace_request(request, "direct_read");
   if (request.trace != nullptr) stamp_request(request, obs::RequestRoute::kDirectRead);
-  direct(std::move(request));
-}
-
-void StorageServer::direct(ClientRequest request) {
-  blockdev::BlockRequest io;
-  io.offset = request.offset;
-  io.length = request.length;
-  io.op = request.op;
-  io.id = request.id;
-  io.data = request.data;
-  io.on_complete = std::move(request.on_complete);
-  devices_[request.device]->submit(std::move(io));
+  devices_[request.device]->submit(to_block_request(std::move(request)));
 }
 
 }  // namespace sst::core

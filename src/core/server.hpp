@@ -63,7 +63,6 @@ class StorageServer {
   [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
 
  private:
-  void direct(ClientRequest request);
   /// Wrap the request's completion so its full lifetime (arrival -> client
   /// completion) lands on the device's request track as a complete span.
   /// `kind` names the route taken and must be a string literal.

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "blockdev/block_device.hpp"
 #include "common/completion.hpp"
 #include "common/intrusive_list.hpp"
 #include "common/slab.hpp"
@@ -41,6 +42,19 @@ struct ClientRequest {
   /// null when attribution is off. Layers stamp their own field.
   obs::RequestTrace* trace = nullptr;
 };
+
+/// The device command that serves `request` directly: same extent, op, id
+/// and buffer, with the request's completion moved into it.
+[[nodiscard]] inline blockdev::BlockRequest to_block_request(ClientRequest&& request) {
+  blockdev::BlockRequest io;
+  io.offset = request.offset;
+  io.length = request.length;
+  io.op = request.op;
+  io.id = request.id;
+  io.data = request.data;
+  io.on_complete = std::move(request.on_complete);
+  return io;
+}
 
 /// A parked client request: a pooled slot carrying the request plus the
 /// intrusive linkage threading it into its stream's pending list. Slots

@@ -118,23 +118,17 @@ Cell::Cell(exec::ExecutionContext& ctx, const ExperimentConfig& config, CellPlan
     sink = [devices = &stack_->devices(), scratch = scratch_.get(),
             closed = &closed_](core::ClientRequest req) {
       if (*closed) return;
-      blockdev::BlockRequest io;
-      io.offset = req.offset;
-      io.length = req.length;
-      io.op = req.op;
-      io.id = req.id;
-      io.data = req.data;
-      if (scratch != nullptr && req.data == nullptr) {
-        io.data = scratch->acquire(req.length);
-        io.on_complete = [scratch, data = io.data, length = req.length,
-                          prev = std::move(req.on_complete)](SimTime done, IoStatus status) {
+      const std::uint32_t device = req.device;
+      blockdev::BlockRequest io = core::to_block_request(std::move(req));
+      if (scratch != nullptr && io.data == nullptr) {
+        io.data = scratch->acquire(io.length);
+        io.on_complete = [scratch, data = io.data, length = io.length,
+                          prev = std::move(io.on_complete)](SimTime done, IoStatus status) {
           scratch->release(data, length);
           if (prev) prev(done, status);
         };
-      } else {
-        io.on_complete = std::move(req.on_complete);
       }
-      devices->at(req.device)->submit(std::move(io));
+      devices->at(device)->submit(std::move(io));
     };
   }
   entry_ = stack_->wrap_sink(std::move(sink));
