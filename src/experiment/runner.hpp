@@ -76,7 +76,7 @@ struct ExperimentConfig {
   /// per-disk queue depth, windowed MB/s) every `sample_interval` of sim
   /// time into ExperimentResult::timeseries.
   SimTime sample_interval = 0;
-  /// Event-engine shards (`sim.shards` / `topology.shards` keys). 1 = the
+  /// Event-engine shards (the `sim.shards` key). 1 = the
   /// single-threaded engine, byte-identical to every release so far. > 1 =
   /// the deployment splits at controller boundaries into that many
   /// device-stack shards (clamped to the controller count and the raid
