@@ -1,10 +1,10 @@
 // Microbenchmark for the simulation core's hot paths (plain binary, no
 // google-benchmark): raw event throughput through the pooled event slab,
-// schedule+cancel churn, a fig01-style end-to-end experiment, and the
-// parallel sweep engine's speedup over a serial run. Verifies — via global
-// operator new/delete counters — that schedule/fire, schedule/cancel and
-// trace-event recording allocate NOTHING per event once their slabs are
-// warm.
+// schedule+cancel churn, the controller extent cache, a fig01-style
+// end-to-end experiment, and the parallel sweep engine's speedup over a
+// serial run. Verifies — via global operator new/delete counters — that
+// schedule/fire, schedule/cancel, trace-event recording and the controller
+// cache allocate NOTHING per operation once their slabs are warm.
 //
 // Usage: microbench_simulator [output.json]   (default BENCH_simcore.json)
 #include <atomic>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "blockdev/block_device.hpp"
+#include "controller/cache.hpp"
 #include "core/scheduler.hpp"
 #include "core/staging_area.hpp"
 #include "experiment/sweep.hpp"
@@ -308,6 +309,65 @@ void bench_find_stream(std::vector<BenchResult>& results, bool& scaling_ok) {
   scaling_ok = ratio < 10.0;
 }
 
+/// ns per controller-cache round on a full cache of `extents` 64 KiB
+/// extents: a missed lookup, the reserve it triggers (evicting the LRU
+/// extent) and the mark_filled that completes it, which is
+/// Controller::handle_read's path for a request its cache does not hold.
+/// 1.5x as many sequential streams as extents, spread over eight disks, as
+/// on a controller whose streams thrash its cache.
+BenchResult time_ctrl_cache(const char* name, std::uint32_t extents) {
+  constexpr Lba kExtent = 128;
+  constexpr Lba kRequest = 16;
+  constexpr std::uint32_t kDisks = 8;
+  constexpr Lba kStreamSpacing = Lba{1} << 30;
+  constexpr std::uint64_t kRounds = 1 << 19;
+
+  const std::uint32_t streams = extents + extents / 2;
+  ctrl::ExtentCache cache(extents * sectors_to_bytes(kExtent));
+  std::vector<Lba> next(streams);
+  for (std::uint32_t i = 0; i < streams; ++i) next[i] = (i / kDisks) * kStreamSpacing;
+
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  SimTime now = 0;
+  const auto round = [&] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const auto stream = static_cast<std::uint32_t>(x % streams);
+    const Lba lba = next[stream];
+    next[stream] += kExtent;
+    (void)cache.lookup(stream % kDisks, lba, kRequest, now);
+    const auto id = cache.reserve(stream % kDisks, lba, kExtent, kRequest, now);
+    (void)cache.mark_filled(id, ++now);
+  };
+  for (std::uint32_t i = 0; i < 2 * streams; ++i) round();  // fill the cache
+
+  const std::uint64_t allocs_before = g_allocations.load();
+  const auto start = Clock::now();
+  for (std::uint64_t i = 0; i < kRounds; ++i) round();
+  const double elapsed = seconds_since(start);
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
+  if (cache.stats().hits != 0 || cache.extent_count() != extents) {
+    std::fprintf(stderr, "%s: expected a full cache and only misses (%zu extents, %llu hits)\n",
+                 name, cache.extent_count(),
+                 static_cast<unsigned long long>(cache.stats().hits));
+    std::exit(1);
+  }
+  return {name, elapsed / static_cast<double>(kRounds) * 1e9, "ns/op", allocs};
+}
+
+/// Regression guard for the O(log n) controller cache: 32x the extents
+/// must cost under 4x per round, where a list walk costs about 32x.
+void bench_ctrl_cache(std::vector<BenchResult>& results, bool& scaling_ok) {
+  const BenchResult small = time_ctrl_cache("ctrl_cache_256", 256);
+  const BenchResult large = time_ctrl_cache("ctrl_cache_8k", 8192);
+  const double ratio = small.value > 0 ? large.value / small.value : 0.0;
+  results.push_back(small);
+  results.push_back(large);
+  results.push_back({"ctrl_cache_scaling", ratio, "x", 0});
+  scaling_ok = ratio < 4.0;
+}
+
 experiment::ExperimentConfig small_fig01_config(std::uint32_t streams) {
   node::NodeConfig node;
   node.num_controllers = 2;
@@ -564,6 +624,8 @@ int main(int argc, char** argv) {
   results.push_back(bench_end_to_end());
   bool find_stream_scaling_ok = true;
   bench_find_stream(results, find_stream_scaling_ok);
+  bool ctrl_cache_scaling_ok = true;
+  bench_ctrl_cache(results, ctrl_cache_scaling_ok);
   bench_sweep(results);
   bool parallel_speedup_ok = true;
   bench_parallel_sim(results, parallel_speedup_ok);
@@ -578,7 +640,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.steady_state_allocations));
     if (r.name == "event_throughput" || r.name == "event_throughput_8k" ||
         r.name == "schedule_cancel" || r.name == "tracer_record" ||
-        r.name == "flight_record" || r.name == "staging_zero_copy") {
+        r.name == "flight_record" || r.name == "staging_zero_copy" ||
+        r.name == "ctrl_cache_256" || r.name == "ctrl_cache_8k") {
       if (r.steady_state_allocations != 0) alloc_free = false;
     }
   }
@@ -596,6 +659,11 @@ int main(int argc, char** argv) {
   if (!find_stream_scaling_ok) {
     std::fprintf(stderr,
                  "FAIL: find_stream lookup cost scales super-logarithmically\n");
+    return 1;
+  }
+  if (!ctrl_cache_scaling_ok) {
+    std::fprintf(stderr,
+                 "FAIL: controller cache round cost scales super-logarithmically\n");
     return 1;
   }
   if (!parallel_speedup_ok) {

@@ -17,8 +17,8 @@ Two classes of regression fail the gate:
     steady_state_alloc_free flag flips to false.
   * a rate-style benchmark (unit not in the timing/informational set)
     drops more than --tolerance (default 15%) below the baseline value,
-    or a lower-is-better benchmark ("bytes", "ns/lookup" — copy counts
-    and per-op latencies) rises more than --tolerance above it. A
+    or a lower-is-better benchmark ("bytes", "ns/lookup", "ns/op" — copy
+    counts and per-op latencies) rises more than --tolerance above it. A
     lower-is-better baseline of exactly zero is a hard invariant: any
     nonzero current value fails (the zero-copy path started copying).
 
@@ -52,7 +52,7 @@ import sys
 # Units where a smaller/different value is not a regression signal.
 UNGATED_UNITS = {"sec", "s", "threads", "x"}
 # Units where the value growing (not shrinking) is the regression.
-LOWER_IS_BETTER_UNITS = {"bytes", "ns/lookup"}
+LOWER_IS_BETTER_UNITS = {"bytes", "ns/lookup", "ns/op"}
 # Hot paths that must never allocate in steady state, independent of the
 # committed baseline: a baseline that itself regressed (nonzero allocs)
 # must not grandfather the regression in. The flight recorder is on this
@@ -60,6 +60,7 @@ LOWER_IS_BETTER_UNITS = {"bytes", "ns/lookup"}
 ZERO_ALLOC_INVARIANT = {
     "event_throughput", "event_throughput_8k", "schedule_cancel",
     "tracer_record", "flight_record", "staging_zero_copy",
+    "ctrl_cache_256", "ctrl_cache_8k",
 }
 
 
