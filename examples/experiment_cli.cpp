@@ -11,7 +11,7 @@
 // through the parallel sweep engine (SST_BENCH_THREADS workers) and prints
 // one row per grid point:
 //
-//   ./build/examples/experiment_cli workload.streams=100 \
+//   ./build/examples/experiment_cli workload.streams=100
 //       sweep.sched.read_ahead=512K,2M,8M sweep.workload.streams=10,100
 //
 // Parallel engine keys (see src/configio/loaders.hpp):

@@ -139,7 +139,7 @@ class IntrusiveList {
 
   /// Unlink every node (nodes themselves are untouched otherwise).
   void clear() {
-    while (head_ != nullptr) pop_front();
+    while (head_ != nullptr) remove(*head_);
   }
 
   /// Forward iteration; removing the *current* node invalidates the

@@ -45,7 +45,7 @@ void append_wall_clock(std::string& line) {
 #else
   localtime_r(&secs, &parts);
 #endif
-  char buf[20];
+  char buf[64];  // room for any int fields, so the format never truncates
   std::snprintf(buf, sizeof buf, "%02d:%02d:%02d.%03ld", parts.tm_hour,
                 parts.tm_min, parts.tm_sec, ms);
   line.append(buf);
