@@ -98,8 +98,6 @@ void Config::set(std::string key, std::string value) {
   entries_.insert_or_assign(std::move(key), std::move(value));
 }
 
-bool Config::contains(std::string_view key) const { return entries_.find(key) != entries_.end(); }
-
 const std::string* Config::find(std::string_view key) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;

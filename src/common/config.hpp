@@ -38,7 +38,6 @@ class Config {
   static Result<Config> from_text(std::string_view text);
 
   void set(std::string key, std::string value);
-  [[nodiscard]] bool contains(std::string_view key) const;
 
   [[nodiscard]] std::string get_string(std::string_view key, std::string fallback) const;
   /// A non-negative base-10 integer.

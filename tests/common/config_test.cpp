@@ -107,13 +107,6 @@ TEST(ConfigGetters, UnreadKeyFailsOnlyTheFullCheck) {
   EXPECT_TRUE(cfg.status(true).ok());
 }
 
-TEST(ConfigGetters, Contains) {
-  Config cfg;
-  cfg.set("k", "v");
-  EXPECT_TRUE(cfg.contains("k"));
-  EXPECT_FALSE(cfg.contains("nope"));
-}
-
 TEST(ConfigBytes, PlainNumber) {
   EXPECT_EQ(Config::parse_bytes("4096").value(), 4096u);
 }
