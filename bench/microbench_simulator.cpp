@@ -1,16 +1,19 @@
 // Microbenchmark for the simulation core's hot paths (plain binary, no
 // google-benchmark): raw event throughput through the pooled event slab,
-// schedule+cancel churn, the controller extent cache, a fig01-style
-// end-to-end experiment, and the parallel sweep engine's speedup over a
-// serial run. Verifies — via global operator new/delete counters — that
-// schedule/fire, schedule/cancel, trace-event recording and the controller
-// cache allocate NOTHING per operation once their slabs are warm.
+// schedule+cancel churn, the controller extent cache, the staged client
+// request path, a fig01-style end-to-end experiment, and the parallel sweep
+// engine's speedup over a serial run. Verifies — via global operator
+// new/delete counters — that schedule/fire, schedule/cancel, trace-event
+// recording, the controller cache and a staged client request allocate
+// NOTHING per operation once their slabs are warm.
 //
 // Usage: microbench_simulator [output.json]   (default BENCH_simcore.json)
+// The JSON is written even when a floor fails; the exit status is then 1.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <new>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 #include "blockdev/block_device.hpp"
 #include "controller/cache.hpp"
 #include "core/scheduler.hpp"
+#include "core/server.hpp"
 #include "core/staging_area.hpp"
 #include "experiment/sweep.hpp"
 #include "node/storage_node.hpp"
@@ -309,6 +313,80 @@ void bench_find_stream(std::vector<BenchResult>& results, bool& scaling_ok) {
   scaling_ok = ratio < 10.0;
 }
 
+/// Completes each request a fixed service time after submission through
+/// the simulator's event queue: a device without a disk model, so the
+/// staged request path's own cost is what the bench sees.
+class TimedDevice final : public blockdev::BlockDevice {
+ public:
+  explicit TimedDevice(sim::Simulator& simulator) : sim_(simulator) {}
+  void submit(blockdev::BlockRequest request) override {
+    const SimTime service = usec(100) + nsec(4) * static_cast<SimTime>(request.length);
+    sim_.schedule_after(service, [this, done = std::move(request.on_complete)]() {
+      done(sim_.now(), IoStatus::kOk);
+    });
+  }
+  [[nodiscard]] Bytes capacity() const override { return Bytes{1} << 40; }
+  [[nodiscard]] std::string name() const override { return "timed"; }
+
+ private:
+  sim::Simulator& sim_;
+};
+
+/// The staged client request path end to end: 64 closed-loop StreamClients
+/// feed one StorageServer over 8 TimedDevices, at the paper's D = S point
+/// (D = 64, R = 512 KiB, N = 1, M = D * R). After 2 simulated seconds of
+/// warm-up every stream is detected and every pool is warm; the next 4 s
+/// must not allocate — the client's and the read-ahead's completion
+/// closures both have to fit std::function's inline buffer. Reports the
+/// measured window's wall time.
+BenchResult bench_staged_request_path() {
+  constexpr std::uint32_t kDevices = 8;
+  constexpr std::uint32_t kStreams = 64;
+  constexpr Bytes kReadAhead = 512 * KiB;
+
+  sim::Simulator simulator;
+  std::deque<TimedDevice> devices;
+  std::vector<blockdev::BlockDevice*> device_ptrs;
+  for (std::uint32_t d = 0; d < kDevices; ++d) {
+    device_ptrs.push_back(&devices.emplace_back(simulator));
+  }
+  core::SchedulerParams params;
+  params.dispatch_set_size = kStreams;
+  params.read_ahead = kReadAhead;
+  params.requests_per_residency = 1;
+  params.memory_budget = static_cast<Bytes>(kStreams) * kReadAhead;
+  core::StorageServer server(simulator, device_ptrs, params);
+
+  const Bytes capacity = devices.front().capacity();
+  const workload::RequestSink sink = [&server](core::ClientRequest req) {
+    server.submit(std::move(req));
+  };
+  const auto specs = workload::make_uniform_streams(kStreams, kDevices, capacity, 64 * KiB);
+  std::deque<workload::StreamClient> clients;
+  for (const auto& spec : specs) clients.emplace_back(simulator, sink, spec, capacity).start();
+  const auto completed = [&clients] {
+    std::uint64_t n = 0;
+    for (const auto& client : clients) n += client.stats().completed;
+    return n;
+  };
+
+  simulator.run_until(sec(2));
+  const std::uint64_t completed_before = completed();
+  const std::uint64_t allocs_before = g_allocations.load();
+  const auto start = Clock::now();
+  simulator.run_until(sec(6));
+  const double elapsed = seconds_since(start);
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
+
+  const auto& stats = server.scheduler().stats();
+  if (completed() == completed_before || stats.streams_created != kStreams ||
+      stats.requests_failed != 0) {
+    std::fprintf(stderr, "staged_request_path: expected every stream detected and served\n");
+    std::exit(1);
+  }
+  return {"staged_request_path", elapsed, "sec", allocs};
+}
+
 /// ns per controller-cache round on a full cache of `extents` 64 KiB
 /// extents: a missed lookup, the reserve it triggers (evicting the LRU
 /// extent) and the mark_filled that completes it, which is
@@ -436,9 +514,11 @@ void bench_sweep(std::vector<BenchResult>& results) {
 /// serializes ~9k ops/sim-sec (that bottleneck is the *subject* of fig12,
 /// and sits on the critical path of every shard-window), which would
 /// leave each 10ms window with a few hundred events — all barrier, no
-/// work. Calibrated on this workload the 4-shard run carries only ~6%
-/// more total event work than the single-threaded engine, spread within
-/// 1% across shards, so the speedup number measures the engine.
+/// work. The sharded model is not the same experiment, though: every
+/// request takes an interconnect hop to its device's shard and another
+/// back, so the 4-shard run dispatches 1.7x the single-threaded engine's
+/// events (510k against 299k, for 6% more requests), spread within 1%
+/// across its shards. The speedup therefore compares unequal work.
 experiment::ExperimentConfig fig12_shard_config(std::uint32_t shards) {
   node::NodeConfig node;
   node.num_controllers = 8;
@@ -624,6 +704,7 @@ int main(int argc, char** argv) {
   results.push_back(bench_end_to_end());
   bool find_stream_scaling_ok = true;
   bench_find_stream(results, find_stream_scaling_ok);
+  results.push_back(bench_staged_request_path());
   bool ctrl_cache_scaling_ok = true;
   bench_ctrl_cache(results, ctrl_cache_scaling_ok);
   bench_sweep(results);
@@ -633,6 +714,9 @@ int main(int argc, char** argv) {
   bench_uring_roundtrip(results);
 #endif
 
+  // Every floor is checked and the JSON written before the exit status
+  // reports a failure, so a tripped floor still leaves its numbers.
+  std::vector<std::string> failures;
   bool alloc_free = true;
   for (const auto& r : results) {
     std::printf("%-20s %14.1f %-10s steady-state allocs: %llu\n", r.name.c_str(),
@@ -641,36 +725,23 @@ int main(int argc, char** argv) {
     if (r.name == "event_throughput" || r.name == "event_throughput_8k" ||
         r.name == "schedule_cancel" || r.name == "tracer_record" ||
         r.name == "flight_record" || r.name == "staging_zero_copy" ||
-        r.name == "ctrl_cache_256" || r.name == "ctrl_cache_8k") {
+        r.name == "ctrl_cache_256" || r.name == "ctrl_cache_8k" ||
+        r.name == "staged_request_path") {
       if (r.steady_state_allocations != 0) alloc_free = false;
     }
-  }
-  if (!alloc_free) {
-    std::fprintf(stderr, "FAIL: steady-state event path performed heap allocations\n");
-    return 1;
-  }
-  for (const auto& r : results) {
     if (r.name == "staging_copied_bytes_per_request" && r.value != 0.0) {
-      std::fprintf(stderr, "FAIL: zero-copy staging path copied %.1f bytes/request\n",
-                   r.value);
-      return 1;
+      failures.push_back("zero-copy staging path copied bytes");
     }
   }
+  if (!alloc_free) failures.push_back("steady-state hot path performed heap allocations");
   if (!find_stream_scaling_ok) {
-    std::fprintf(stderr,
-                 "FAIL: find_stream lookup cost scales super-logarithmically\n");
-    return 1;
+    failures.push_back("find_stream lookup cost scales super-logarithmically");
   }
   if (!ctrl_cache_scaling_ok) {
-    std::fprintf(stderr,
-                 "FAIL: controller cache round cost scales super-logarithmically\n");
-    return 1;
+    failures.push_back("controller cache round cost scales super-logarithmically");
   }
   if (!parallel_speedup_ok) {
-    std::fprintf(stderr,
-                 "FAIL: sharded engine under 2x speedup at 4 shards on a "
-                 ">=4-core host\n");
-    return 1;
+    failures.push_back("sharded engine under 2x speedup at 4 shards on a >=4-core host");
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -689,8 +760,11 @@ int main(int argc, char** argv) {
                  r.informational ? ", \"informational\": true" : "",
                  i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n  \"steady_state_alloc_free\": true\n}\n");
+  std::fprintf(out, "  ],\n  \"steady_state_alloc_free\": %s\n}\n",
+               alloc_free ? "true" : "false");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+
+  for (const auto& f : failures) std::fprintf(stderr, "FAIL: %s\n", f.c_str());
+  return failures.empty() ? 0 : 1;
 }

@@ -60,7 +60,7 @@ LOWER_IS_BETTER_UNITS = {"bytes", "ns/lookup", "ns/op"}
 ZERO_ALLOC_INVARIANT = {
     "event_throughput", "event_throughput_8k", "schedule_cancel",
     "tracer_record", "flight_record", "staging_zero_copy",
-    "ctrl_cache_256", "ctrl_cache_8k",
+    "ctrl_cache_256", "ctrl_cache_8k", "staged_request_path",
 }
 
 

@@ -47,8 +47,7 @@ void StreamScheduler::arm_gc() {
 }
 
 Stream* StreamScheduler::find_stream(std::uint32_t device, ByteOffset offset) {
-  return index_.find(device, offset, params_.read_ahead,
-                     [this](StreamId id) -> Stream& { return stream_ref(id); });
+  return index_.find(device, offset, params_.read_ahead);
 }
 
 Stream& StreamScheduler::create_stream(std::uint32_t device, ByteOffset range_start,
@@ -62,7 +61,7 @@ Stream& StreamScheduler::create_stream(std::uint32_t device, ByteOffset range_st
   stream->served_upto = detection_end;
   stream->last_activity = sim_.now();
   Stream& ref = *stream;
-  index_.claim(device, range_start, stream->id);
+  index_.claim(ref);
   streams_.emplace(stream->id, std::move(stream));
   ++stats_.streams_created;
   arm_gc();
@@ -74,12 +73,6 @@ Stream& StreamScheduler::create_stream(std::uint32_t device, ByteOffset range_st
   LogMessage(LogLevel::kDebug, kLog, sim_.now())
       << "stream " << ref.id << " created on dev " << device << " at " << range_start;
   return ref;
-}
-
-Stream& StreamScheduler::stream_ref(StreamId id) {
-  const auto it = streams_.find(id);
-  assert(it != streams_.end());
-  return *it->second;
 }
 
 const Stream* StreamScheduler::stream_by_id(StreamId id) const {
@@ -241,18 +234,21 @@ bool StreamScheduler::issue_next(Stream& stream) {
   stats_.bytes_prefetched += len;
   dispatch_.note_issue(stream.device, issue_offset + len);
 
-  const StreamId sid = stream.id;
-  const std::uint32_t dev = stream.device;
-  cpu_.execute(cpu_.issue_cost(staging_.live_buffers()), [this, sid, dev, issue_offset,
-                                                          len, data = raw->data()]() {
+  ReadAhead* const ra = read_aheads_.acquire();
+  ra->stream = stream.id;
+  ra->offset = issue_offset;
+  const SimTime cost = cpu_.issue_cost(staging_.live_buffers());
+  cpu_.execute(cost, [this, ra, dev = stream.device, len, data = raw->data()]() {
+    ra->issued_at = sim_.now();
     blockdev::BlockRequest req;
-    req.offset = issue_offset;
+    req.offset = ra->offset;
     req.length = len;
     req.op = IoOp::kRead;
     req.data = data;
-    req.on_complete = [this, sid, issue_offset,
-                       issued_at = sim_.now()](SimTime, IoStatus status) {
-      on_read_complete(sid, issue_offset, issued_at, status);
+    req.on_complete = [this, ra](SimTime, IoStatus status) {
+      const ReadAhead done = *ra;
+      read_aheads_.release(ra);
+      on_read_complete(done.stream, done.offset, done.issued_at, status);
     };
     devices_[dev]->submit(std::move(req));
   });
@@ -429,7 +425,7 @@ void StreamScheduler::evict_stream(Stream& stream, IoStatus status) {
   }
 
   // Unclaim the range so fresh requests never match the zombie.
-  index_.unclaim(stream.device, stream.range_start, stream.id);
+  index_.unclaim(stream);
 
   if (stream.inflight == 0) {
     // No completion can write into staged memory anymore: release it all.
@@ -553,7 +549,7 @@ void StreamScheduler::retire_stream(StreamId id) {
   Stream& s = *it->second;
   assert(s.inflight == 0 && s.pending.empty());
   staging_.on_retire(s);
-  index_.unclaim(s.device, s.range_start, id);
+  index_.unclaim(s);
   streams_.erase(it);
   ++stats_.streams_retired;
 }

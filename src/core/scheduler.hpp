@@ -17,6 +17,7 @@
 
 #include "blockdev/block_device.hpp"
 #include "common/counters.hpp"
+#include "common/slab.hpp"
 #include "common/types.hpp"
 #include "core/buffer_pool.hpp"
 #include "core/dispatch_set.hpp"
@@ -148,7 +149,6 @@ class StreamScheduler {
   [[nodiscard]] std::size_t failed_device_count() const;
 
  private:
-  Stream& stream_ref(StreamId id);
   /// Move a stream into the candidate queue if not already scheduled.
   void make_candidate(Stream& stream);
   /// Give `stream` a dispatch slot and start its residency. Returns false
@@ -186,6 +186,15 @@ class StreamScheduler {
   void retire_stream(StreamId id);
   void arm_gc();
 
+  /// A read-ahead between issue and completion: what the completion needs
+  /// to find its stream and buffer again. Pooled, so the device completion
+  /// captures one pointer and fits std::function's inline buffer.
+  struct ReadAhead {
+    StreamId stream = kInvalidStream;
+    ByteOffset offset = 0;
+    SimTime issued_at = 0;  ///< when the read-ahead reached the device
+  };
+
   exec::ExecutionContext& sim_;
   std::vector<blockdev::BlockDevice*> devices_;
   SchedulerParams params_;
@@ -196,6 +205,8 @@ class StreamScheduler {
   /// Pooled slots for parked client requests (streams link them into their
   /// pending lists); recycled without allocation once warm.
   RequestSlab request_slab_;
+  /// Pooled read-ahead records, recycled without allocation once warm.
+  Slab<ReadAhead> read_aheads_;
 
   std::map<StreamId, std::unique_ptr<Stream>> streams_;
   /// Failed read-ahead count per device; >= device_fail_threshold = failed.

@@ -97,7 +97,7 @@ class StreamClient {
  private:
   void issue_one();
   void paced_tick();
-  void on_complete(SimTime issued_at, Bytes length, IoStatus status);
+  void on_complete(SimTime issued_at, IoStatus status);
   [[nodiscard]] SimTime think_delay();
 
   exec::ExecutionContext& sim_;

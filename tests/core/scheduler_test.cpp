@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "blockdev/mem_block_device.hpp"
@@ -302,6 +303,113 @@ TEST(Scheduler, GcRetiresIdleStreams) {
   EXPECT_EQ(h.sched.stream_count(), 0u);
   EXPECT_EQ(h.sched.find_stream(0, 0), nullptr);
   EXPECT_EQ(h.sched.stats().gc_streams_retired, 1u);
+}
+
+// The index holds Stream pointers. A retirement or eviction that left its
+// claim behind would make the cases below read a freed stream, which the
+// ASan/UBSan build turns into a hard failure; one that dropped a later
+// stream's claim would lose that stream.
+
+TEST(Scheduler, ReclaimedAnchorStaysWithTheLaterStream) {
+  Harness h;
+  const StreamId earlier_id = h.sched.create_stream(0, 0, 0).id;
+  Stream& later = h.sched.create_stream(0, 0, 0);  // re-claims anchor 0
+  EXPECT_EQ(h.sched.find_stream(0, 0), &later);
+  // Keep the later stream busy past stream_timeout (2 s) while the idle
+  // earlier one is retired by the GC.
+  int done = 0;
+  for (int i = 0; i < 30; ++i) {
+    h.sched.enqueue(later, h.make_req(static_cast<ByteOffset>(i) * 32 * KiB, 32 * KiB, &done));
+    h.run_ms(100);
+  }
+  EXPECT_EQ(done, 30);
+  EXPECT_EQ(h.sched.stream_by_id(earlier_id), nullptr);
+  EXPECT_EQ(h.sched.stream_count(), 1u);
+  EXPECT_EQ(h.sched.find_stream(0, 0), &later);
+  EXPECT_EQ(h.sched.find_stream(0, 29 * 32 * KiB), &later);
+}
+
+TEST(Scheduler, GcRetiredStreamLeavesNoClaimBehind) {
+  Harness h;
+  const StreamId idle_id = h.sched.create_stream(0, 0, 0).id;
+  Stream& busy = h.sched.create_stream(0, 4 * MiB, 4 * MiB);
+  int done = 0;
+  for (int i = 0; i < 30; ++i) {
+    const ByteOffset offset = 4 * MiB + static_cast<ByteOffset>(i) * 32 * KiB;
+    h.sched.enqueue(busy, h.make_req(offset, 32 * KiB, &done));
+    h.run_ms(100);
+  }
+  EXPECT_EQ(done, 30);
+  EXPECT_EQ(h.sched.stats().gc_streams_retired, 1u);
+  EXPECT_EQ(h.sched.stream_by_id(idle_id), nullptr);
+  EXPECT_EQ(h.sched.find_stream(0, 0), nullptr);
+  EXPECT_EQ(h.sched.find_stream(0, 64 * KiB), nullptr);
+  EXPECT_EQ(h.sched.find_stream(0, 4 * MiB), &busy);
+}
+
+/// Holds every request, keyed by offset, until the test completes it.
+class HoldingDevice final : public blockdev::BlockDevice {
+ public:
+  void submit(blockdev::BlockRequest request) override {
+    const ByteOffset offset = request.offset;
+    held_.emplace(offset, std::move(request));
+  }
+  [[nodiscard]] Bytes capacity() const override { return kDev; }
+  [[nodiscard]] std::string name() const override { return "holding"; }
+
+  [[nodiscard]] std::size_t held() const { return held_.size(); }
+  /// Complete the held request at `offset` with `status`.
+  void complete(ByteOffset offset, SimTime now, IoStatus status) {
+    auto node = held_.extract(offset);
+    ASSERT_FALSE(node.empty());
+    node.mapped().on_complete(now, status);
+  }
+
+ private:
+  std::map<ByteOffset, blockdev::BlockRequest> held_;
+};
+
+TEST(Scheduler, EvictedStreamIsNeverFoundWhileItsReadAheadDrains) {
+  sim::Simulator sim;
+  HoldingDevice dev;
+  StreamScheduler sched(sim, {&dev}, small_params());  // device_fail_threshold 1
+  Stream& victim = sched.create_stream(0, 0, 0);
+  const StreamId victim_id = victim.id;
+  Stream& failing = sched.create_stream(0, 8 * MiB, 8 * MiB);
+  int done = 0;
+  const auto request = [&sim, &done](ByteOffset offset) {
+    ClientRequest req;
+    req.offset = offset;
+    req.length = 32 * KiB;
+    req.arrival = sim.now();
+    req.on_complete = [&done](SimTime) { ++done; };
+    return req;
+  };
+  sched.enqueue(victim, request(0));
+  sched.enqueue(failing, request(8 * MiB));
+  sim.run_until(msec(1));  // both read-aheads leave the host CPU
+  ASSERT_EQ(dev.held(), 2u);
+
+  // One failed read-ahead declares the device failed and evicts both
+  // streams: the failing one retires at once, the victim stays a zombie
+  // until its own read-ahead drains.
+  dev.complete(8 * MiB, sim.now(), IoStatus::kMediaError);
+  EXPECT_TRUE(sched.device_failed(0));
+  EXPECT_EQ(sched.stats().streams_evicted, 2u);
+  EXPECT_EQ(done, 2);  // both parked requests failed
+  ASSERT_NE(sched.stream_by_id(victim_id), nullptr);
+  EXPECT_TRUE(sched.stream_by_id(victim_id)->evicted);
+  EXPECT_EQ(sched.find_stream(0, 0), nullptr);
+  EXPECT_EQ(sched.find_stream(0, 32 * KiB), nullptr);
+  EXPECT_EQ(sched.find_stream(0, 8 * MiB), nullptr);
+
+  dev.complete(0, sim.now(), IoStatus::kOk);
+  EXPECT_EQ(sched.stream_by_id(victim_id), nullptr);
+  EXPECT_EQ(sched.stream_count(), 0u);
+  EXPECT_EQ(sched.find_stream(0, 0), nullptr);
+  EXPECT_EQ(sched.find_stream(0, 32 * KiB), nullptr);
+  sim.run_until(sim.now() + sec(3));  // GC sweeps over the emptied index
+  EXPECT_EQ(sched.find_stream(0, 0), nullptr);
 }
 
 TEST(Scheduler, ActiveStreamSurvivesGc) {
