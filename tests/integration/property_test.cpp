@@ -10,8 +10,11 @@
 namespace sst {
 namespace {
 
+// gtest lists a parameter without a PrintTo as its raw bytes. A 64-bit
+// `streams` leaves the struct no padding, so those bytes, and the listed
+// test names with them, are the same in every build.
 struct SweepPoint {
-  std::uint32_t streams;
+  std::uint64_t streams;
   Bytes request;
   Bytes read_ahead;  // 0 = raw (no scheduler)
 };
