@@ -504,21 +504,20 @@ void bench_sweep(std::vector<BenchResult>& results) {
   results.push_back({"sweep_workers", static_cast<double>(workers), "threads", 0});
 }
 
-/// Fig12-style deployment for the sharded engine, scaled up so the
-/// parallel measurement means something: 8 controllers (so 1/2/4/8 shards
-/// split at controller boundaries) of 8 disks each, the paper's staged
-/// parameters (D = S, N = 1), pipelined clients, and a small read-ahead
-/// so the disk/scheduler machinery — the work that lives on the shards —
-/// dominates each window. The paper's default host-CPU overheads are
-/// deliberately cheapened: at fig12's defaults the modelled host CPU
-/// serializes ~9k ops/sim-sec (that bottleneck is the *subject* of fig12,
-/// and sits on the critical path of every shard-window), which would
-/// leave each 10ms window with a few hundred events — all barrier, no
-/// work. The sharded model is not the same experiment, though: every
-/// request takes an interconnect hop to its device's shard and another
-/// back, so the 4-shard run dispatches 1.7x the single-threaded engine's
-/// events (510k against 299k, for 6% more requests), spread within 1%
-/// across its shards. The speedup therefore compares unequal work.
+/// Fig12-style deployment for sharded runs, scaled up so the parallel
+/// measurement means something: 8 controllers (so 1/2/4/8 shards split at
+/// controller boundaries) of 8 disks each, the paper's staged parameters
+/// (D = S, N = 1), pipelined clients, and a small read-ahead so the
+/// disk/scheduler machinery — the work that lives in the cells —
+/// dominates. The paper's default host-CPU overheads are deliberately
+/// cheapened: at fig12's defaults the modelled host CPU serializes ~9k
+/// ops/sim-sec (that bottleneck is the *subject* of fig12), which would
+/// leave the cells little event work to share. Each cell schedules
+/// against its share of the dispatch set and memory and its own host CPU
+/// model, so the sharded run is a slightly different experiment: the
+/// 4-shard run dispatches 295,736 events against the single Simulator's
+/// 299,488, for 1.4% fewer requests (74,192 against 75,269), split evenly
+/// across its cells. The speedup therefore compares nearly equal work.
 experiment::ExperimentConfig fig12_shard_config(std::uint32_t shards) {
   node::NodeConfig node;
   node.num_controllers = 8;
@@ -541,10 +540,6 @@ experiment::ExperimentConfig fig12_shard_config(std::uint32_t shards) {
   cfg.warmup = msec(500);
   cfg.measure = sec(2);
   cfg.shards = shards;
-  // A generous horizon (modelling clients one interconnect hop away) keeps
-  // the barrier count low: ~250 windows over the run, so sync cost stays
-  // small against each window's event work.
-  cfg.lookahead = msec(10);
   return cfg;
 }
 
@@ -568,13 +563,9 @@ void bench_parallel_sim(std::vector<BenchResult>& results, bool& speedup_ok) {
                    shards);
       std::exit(1);
     }
-    if (shards > 1 && (result.shard_summary.shards != shards ||
-                       result.shard_summary.horizon_violations != 0)) {
-      std::fprintf(stderr,
-                   "sim_parallel: %u-shard run sharded wrong (%u shards, %llu violations)\n",
-                   shards, result.shard_summary.shards,
-                   static_cast<unsigned long long>(
-                       result.shard_summary.horizon_violations));
+    if (shards > 1 && result.shard_summary.shards != shards) {
+      std::fprintf(stderr, "sim_parallel: %u-shard run sharded wrong (%u shards)\n", shards,
+                   result.shard_summary.shards);
       std::exit(1);
     }
     results.push_back({"sim_parallel_" + std::to_string(shards) + "shard",

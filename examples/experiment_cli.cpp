@@ -16,15 +16,16 @@
 //
 // Parallel engine keys (see src/configio/loaders.hpp):
 //
-//   sim.shards=N                shard the event engine over N device-stack
-//                               slices (clamped to the controller count /
-//                               raid layout; 1 = the classic
-//                               single-threaded engine)
-//   sim.lookahead=500us         conservative barrier horizon == modelled
-//                               cross-shard interconnect latency (0 =
-//                               derive from net.latency or the default)
+//   sim.shards=N                run N cells at controller boundaries,
+//                               each on its own simulator and thread, with
+//                               every stream on the cell owning its device
+//                               (clamped to the controller count / raid
+//                               layout). 1 = one simulator's result; a run
+//                               without a scheduler, network link, stripe,
+//                               faults or observers gets it from a cell
+//                               per CPU
 //   workload.seed=K             global workload seed; per-stream seeds
-//                               derive from it per shard
+//                               derive from it and the stream's ordinal
 //   workload.think_jitter=2ms   uniform random extra think time in [0, J]
 //                               per completion, from the stream's seed
 //
@@ -115,7 +116,8 @@ void print_help() {
       "                                             sched.* = raw devices)\n"
       "  workload.streams=N workload.request=64K    closed-loop stream clients\n"
       "  run.warmup=4s run.measure=20s              run windows\n"
-      "  sim.shards=N sim.lookahead=500us           parallel event engine\n"
+      "  sim.shards=N                               simulated cells, a thread\n"
+      "                                             each (1 = one simulator)\n"
       "  slo.objective=50ms slo.quantile=0.999      tail-latency SLO gate\n"
       "  obs.attribution=true                       per-stage latency metrics\n"
       "\n"

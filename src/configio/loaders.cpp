@@ -289,7 +289,6 @@ Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
   ec.measure = cfg.get_duration("run.measure", ec.measure);
   ec.shards = cfg.get_uint32("sim.shards", ec.shards);
   if (ec.shards < 1) return make_error("sim.shards must be >= 1");
-  ec.lookahead = cfg.get_duration("sim.lookahead", 0);
 
   // Tail-latency SLO: declaring an objective enables the engine.
   ec.slo.objective = cfg.get_duration("slo.objective", 0);

@@ -85,13 +85,12 @@ namespace sst::configio {
 /// workload.seed (0 = keep the built-in default), workload.issue_period,
 /// run.warmup, run.measure, sched.enable (default: true when any sched.*
 /// key is present; a disabled scheduler's keys are still checked),
-/// sim.shards (event-engine shards, 1 = single-threaded) and sim.lookahead
-/// (cross-shard barrier horizon; 0 = derive from the network latency or the
-/// built-in default). Tail latency: slo.objective (duration; > 0 enables
-/// the SLO engine), slo.quantile (target quantile in (0,1], default 0.99),
-/// slo.window (evaluation window, default 1s), slo.burn_rate (allowed
-/// breaching-window fraction, default 0) and obs.attribution (bool;
-/// per-request stage attribution, implied by an enabled SLO). Backend:
+/// sim.shards (simulated cells, 1 = one Simulator's result; see
+/// ExperimentConfig::shards). Tail latency: slo.objective (duration; > 0
+/// enables the SLO engine), slo.quantile (target quantile in (0,1], default
+/// 0.99), slo.window (evaluation window, default 1s), slo.burn_rate
+/// (allowed breaching-window fraction, default 0) and obs.attribution
+/// (bool; per-request stage attribution, implied by an enabled SLO). Backend:
 /// backend.kind (sim|real), backend.path, backend.queue_depth,
 /// backend.direct and backend.reactors. Stream specs are sized against the
 /// topology's logical device view (e.g. one striped volume). A key that

@@ -67,11 +67,11 @@ std::size_t RealContext::total_in_flight() const {
   return total;
 }
 
-void RealContext::drain_event_fd(int fd) {
+std::uint64_t RealContext::drain_event_fd(int fd) {
   std::uint64_t count = 0;
   // Non-blocking eventfd semantics: one read returns (and resets) the
   // whole counter; EAGAIN just means nothing was pending.
-  [[maybe_unused]] const ssize_t rc = ::read(fd, &count, sizeof(count));
+  return ::read(fd, &count, sizeof(count)) == sizeof(count) ? count : 0;
 }
 
 void RealContext::wait_multiplexed(SimTime max_wait) {
@@ -98,6 +98,7 @@ void RealContext::wait_multiplexed(SimTime max_wait) {
   if (ready < 0) return;
 
   bool deadline_fired = false;
+  bool signalled = false;
   std::size_t delivered = 0;
   for (int i = 0; i < ready; ++i) {
     if (events[i].data.ptr == nullptr) {
@@ -106,7 +107,7 @@ void RealContext::wait_multiplexed(SimTime max_wait) {
       continue;
     }
     auto* driver = static_cast<CompletionDriver*>(events[i].data.ptr);
-    drain_event_fd(driver->event_fd());
+    signalled = drain_event_fd(driver->event_fd()) > 0 || signalled;
     delivered += driver->poll(0);
   }
   stats_.completions += delivered;
@@ -114,6 +115,8 @@ void RealContext::wait_multiplexed(SimTime max_wait) {
     ++stats_.completion_wakeups;
   } else if (deadline_fired) {
     ++stats_.timer_wakeups;
+  } else if (signalled) {
+    ++stats_.stale_wakeups;  // the signal's completions went out in a sweep
   } else {
     ++stats_.spurious_wakeups;
   }

@@ -20,7 +20,12 @@
 // wheel's next due time otherwise, flushing every driver's staged batch
 // first. Idle contexts (no I/O in flight) sleep exactly until the next
 // due time. ReactorStats counts wakeups, and classifies them
-// (completion / timer / spurious).
+// (completion / timer / stale / spurious). A driver publishes a completion
+// before it signals its eventfd (an io_uring ring posts the CQE first), so
+// a sweep can deliver a completion whose signal lands after the sweep
+// drained the eventfd; the next epoll_wait then wakes on that signal with
+// nothing left to deliver. Such a wakeup is stale, not spurious: it had a
+// cause, only an earlier sweep served it.
 //
 // Tasks live in an exec::TimerWheel, the simulator's own task store, so
 // both contexts fire the same callback graph under the same ordering
@@ -78,7 +83,9 @@ struct ReactorStats {
   std::uint64_t wakeups = 0;           ///< blocking waits that returned
   std::uint64_t completion_wakeups = 0;///< returned with completions delivered
   std::uint64_t timer_wakeups = 0;     ///< returned at the armed deadline
-  std::uint64_t spurious_wakeups = 0;  ///< returned early with nothing to do
+  /// Woke on a driver signal whose completions a sweep had delivered.
+  std::uint64_t stale_wakeups = 0;
+  std::uint64_t spurious_wakeups = 0;  ///< returned early with no cause
   std::uint64_t epoll_waits = 0;       ///< multi-driver epoll_wait blocks
   std::uint64_t inring_waits = 0;      ///< single-driver in-ring blocks
   std::uint64_t idle_sleeps = 0;       ///< no-I/O sleeps until the next timer
@@ -88,6 +95,7 @@ struct ReactorStats {
       {"wakeups", &ReactorStats::wakeups},
       {"completion_wakeups", &ReactorStats::completion_wakeups},
       {"timer_wakeups", &ReactorStats::timer_wakeups},
+      {"stale_wakeups", &ReactorStats::stale_wakeups},
       {"spurious_wakeups", &ReactorStats::spurious_wakeups},
       {"epoll_waits", &ReactorStats::epoll_waits},
       {"inring_waits", &ReactorStats::inring_waits},
@@ -148,8 +156,9 @@ class RealContext final : public ExecutionContext {
   /// Block in one epoll_wait over every busy driver's eventfd plus the
   /// deadline timerfd. Pre-condition: a non-blocking sweep came up empty.
   void wait_multiplexed(SimTime max_wait);
-  /// Consume an eventfd-style readable signal without blocking.
-  static void drain_event_fd(int fd);
+  /// Consume an eventfd-style readable signal without blocking; returns
+  /// the signal count it read (0 when none was pending).
+  static std::uint64_t drain_event_fd(int fd);
 
   std::chrono::steady_clock::time_point epoch_;
   TimerWheel wheel_;

@@ -140,15 +140,14 @@ Bytes Cell::device_capacity(std::uint32_t device) const {
   return stack_->devices().at(device)->capacity();
 }
 
-void Cell::add_client(std::uint32_t ordinal, const workload::StreamSpec& spec, Bytes capacity,
-                      workload::RequestSink route) {
-  workload::RequestSink sink = route ? std::move(route) : entry_;
+void Cell::add_client(std::uint32_t ordinal, const workload::StreamSpec& spec, Bytes capacity) {
+  workload::RequestSink sink = entry_;
   if (attribution_) {
-    // Outermost wrapper (the client calls it directly), so it runs on the
-    // client's home cell: the issue stamp precedes any network transit or
-    // interconnect hop, and the completion fold — applied first, so it
-    // fires last — sees the client-side completion time. The rid keys on
-    // the global spec ordinal, so ids do not depend on the cell count.
+    // Outermost wrapper (the client calls it directly): the issue stamp
+    // precedes any network transit, and the completion fold — applied
+    // first, so it fires last — sees the client-side completion time. The
+    // rid keys on the global spec ordinal, so ids do not depend on the
+    // cell count.
     sink = [attr = &attributor_, ctx = &ctx_, flight = flight_, base = std::move(sink),
             ordinal, seq = std::uint64_t{0}](core::ClientRequest req) mutable {
       obs::RequestTrace* trace =
@@ -303,13 +302,20 @@ CellOutcome Cell::harvest(SimTime t0, SimTime t1) {
   return out;
 }
 
-CellPlan cell_plan(const node::TopologySpec& topology, const ShardPlan& plan, std::uint32_t k) {
-  CellPlan cell;
-  cell.id = k;
-  cell.count = plan.shard_count();
-  cell.slice = plan.slices[k];
-  cell.topology = topology.shard_slice(cell.slice.ctrl_begin, cell.slice.ctrl_count);
-  return cell;
+std::vector<CellPlan> plan_cells(const ExperimentConfig& config,
+                                 const node::TopologySpec& topology, const ShardPlan& plan) {
+  std::vector<CellPlan> cells(plan.shard_count());
+  for (std::uint32_t k = 0; k < cells.size(); ++k) {
+    const ShardSlice& slice = plan.slices[k];
+    cells[k].id = k;
+    cells[k].count = plan.shard_count();
+    cells[k].slice = slice;
+    cells[k].topology = topology.shard_slice(slice.ctrl_begin, slice.ctrl_count);
+  }
+  for (std::uint32_t i = 0; i < config.streams.size(); ++i) {
+    cells[plan.shard_of_logical(config.streams[i].device)].streams.push_back(i);
+  }
+  return cells;
 }
 
 workload::StreamSpec seeded_stream(const ExperimentConfig& config, std::uint32_t ordinal) {
@@ -391,6 +397,7 @@ ExperimentResult merge_cells(const ExperimentConfig& config, std::vector<CellOut
     fold_counters(result.retry_stats, part.retry_stats);
     fold_counters(result.mirror_stats, part.mirror_stats);
     result.sim_events_dispatched += part.sim_events_dispatched;
+    result.sim_wheel_cascades += part.sim_wheel_cascades;
     result.breakdown.merge_from(part.breakdown);
     slo_windows.merge_from(cell.slo_windows);
     end_time = std::max(end_time, cell.end_time);

@@ -11,8 +11,8 @@
 //     experiment has more than one cell;
 //   - the one gauge set of the time-series sampler.
 //
-// The runners (runner.hpp) differ only in how they run cells and how
-// clients reach them; merge_cells() folds their outcomes into the result.
+// The runners (runner.hpp) differ only in the context each cell runs on;
+// merge_cells() folds their outcomes into the result.
 #pragma once
 
 #include <cstdint>
@@ -27,26 +27,33 @@
 
 namespace sst::experiment {
 
-/// Where a cell sits in the experiment.
+/// Where a cell sits in the experiment, and what runs on it.
 struct CellPlan {
-  std::uint32_t id = 0;     ///< shard / reactor index
+  std::uint32_t id = 0;     ///< cell index
   std::uint32_t count = 1;  ///< cells in the experiment
   /// The cell's devices in global coordinates: names the disk gauges and
   /// shifts a private tracer's tracks back into the global layout.
   ShardSlice slice;
   /// The deployment slice the cell builds: node and device stack.
   node::TopologySpec topology;
+  /// Spec ordinals of the streams homed on the cell, in spec order. The
+  /// runner makes each resident with Cell::add_client(): the ordinal keys
+  /// its result slot and request ids, and its spec is seeded_stream()'s
+  /// with the device index rebased into the slice.
+  std::vector<std::uint32_t> streams;
   /// Real backend: the opened leaf devices (owned by the runner), which
   /// replace the simulated node of `topology`.
   std::vector<blockdev::BlockDevice*> devices;
 };
 
-/// Cell `k` of `plan` over `topology`: its slice, and the sub-topology it
-/// builds with fault seeds and bad ranges rebased into the slice
-/// (node::TopologySpec::shard_slice). Sim shards and real reactors both
-/// plan their cells through it.
-[[nodiscard]] CellPlan cell_plan(const node::TopologySpec& topology, const ShardPlan& plan,
-                                 std::uint32_t k);
+/// The cells of `plan` over `topology`: each one's slice, the sub-topology
+/// it builds with fault seeds and bad ranges rebased into the slice
+/// (node::TopologySpec::shard_slice), and every stream of `config` homed on
+/// the cell that owns its device. Sim and real runners both plan their
+/// cells through it.
+[[nodiscard]] std::vector<CellPlan> plan_cells(const ExperimentConfig& config,
+                                               const node::TopologySpec& topology,
+                                               const ShardPlan& plan);
 
 /// Plain-data result of one cell, produced on the thread that ran it. The
 /// counters sit in an ExperimentResult of their own: the resident clients'
@@ -77,11 +84,8 @@ class Cell {
   [[nodiscard]] core::StorageServer* server() { return server_.get(); }
   [[nodiscard]] Bytes device_capacity(std::uint32_t device) const;
 
-  /// Make a client resident on this cell. `route` is how its requests reach
-  /// their device (another cell's entry() through a hop trampoline); empty
-  /// means this cell's own entry().
-  void add_client(std::uint32_t ordinal, const workload::StreamSpec& spec, Bytes capacity,
-                  workload::RequestSink route = {});
+  /// Make a client resident on this cell; its requests enter at entry().
+  void add_client(std::uint32_t ordinal, const workload::StreamSpec& spec, Bytes capacity);
 
   /// Start the resident clients, then the gauges.
   void start();
@@ -126,8 +130,8 @@ class Cell {
   obs::TimeSeriesSampler sampler_;
 };
 
-/// The spec of stream `ordinal` with the seed the single-chain runners give
-/// it: shard 0's sequence, keyed by the position in spec order.
+/// The spec of stream `ordinal` with the seed every runner gives it: chain
+/// 0 of the workload seed, keyed by the position in spec order.
 [[nodiscard]] workload::StreamSpec seeded_stream(const ExperimentConfig& config,
                                                  std::uint32_t ordinal);
 

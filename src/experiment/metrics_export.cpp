@@ -65,13 +65,11 @@ std::string ExperimentResult::to_json() const {
   reg.counter("sim.events_dispatched", sim_events_dispatched);
   reg.counter("sim.wheel_cascades", sim_wheel_cascades);
 
-  // The shard group only appears when the run actually sharded, keeping
-  // the export byte-identical for single-threaded runs (golden parity).
+  // The shard group only appears when the run sharded, keeping the export
+  // byte-identical for single-cell runs (golden parity).
   if (shard_summary.shards > 1) {
     reg.counter("sim.shard_count", shard_summary.shards);
     reg.counter("sim.shard_requested", shard_summary.requested);
-    reg.gauge("sim.shard_lookahead_ms", to_millis(shard_summary.lookahead));
-    export_counters(reg, "sim", shard_summary);
     reg.counter("sim.shard_min_events", shard_summary.min_shard_events);
     reg.counter("sim.shard_max_events", shard_summary.max_shard_events);
   }

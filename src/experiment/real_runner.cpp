@@ -4,19 +4,18 @@
 // pre-warming and registering the fixed buffers, the drain, each reactor's
 // measured CPU, and the uring.* / reactor.* counters.
 //
-// Reactors are planned like sim shards. A file slice has no controller, so
+// Reactors are planned like sim cells. A file slice has no controller, so
 // plan_shards() runs over the topology with one physical device per
 // controller: backend.reactors = N splits the devices into up to N
 // contiguous groups, a mirror group stays on one reactor and a stripe runs
 // on one. Each group is a cell with its own context, rings, scheduler share
-// and resident clients on a dedicated thread. Streams are homed on the
-// reactor that owns their device, so — unlike the sim shards — no
-// cross-thread trampoline is needed.
+// and resident clients on a dedicated thread, and each stream is homed on
+// the reactor that owns its device.
 //
 // The cells stack fault injection, retry and raid over the rings exactly as
-// over simulated disks. Only the simulated network link and the sharded
-// engine are rejected: a modelled link would add fictional delay to a
-// wall-clock run.
+// over simulated disks. Only the simulated network link and sim.shards > 1
+// are rejected: a modelled link would add fictional delay to a wall-clock
+// run.
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -73,14 +72,6 @@ void validate(const ExperimentConfig& config) {
   }
 }
 
-/// One reactor's cell — a contiguous run of physical devices — plus every
-/// stream homed on them: the global ordinal (kept for seeds, request ids
-/// and result ordering) and the spec with its cell-local device index.
-struct GroupPlan {
-  CellPlan cell;
-  std::vector<std::pair<std::uint32_t, workload::StreamSpec>> streams;
-};
-
 /// One ring's counters and setup, read before the ring closes.
 struct RingOutcome {
   blockdev::UringStats stats;
@@ -106,12 +97,12 @@ SimTime thread_cpu_ns() {
 /// Run one reactor group start to finish on this thread:
 /// IORING_SETUP_SINGLE_ISSUER binds each ring to the thread that opened it,
 /// so setup, I/O and teardown all stay here.
-GroupOutcome run_reactor_group(const ExperimentConfig& config, const GroupPlan& group,
-                               Bytes slice) {
+GroupOutcome run_reactor_group(const ExperimentConfig& config, CellPlan plan, Bytes slice) {
   GroupOutcome out;
   exec::RealContext ctx;
   std::vector<std::unique_ptr<blockdev::UringBlockDevice>> rings;
-  CellPlan plan = group.cell;
+  const std::vector<std::uint32_t> streams = std::move(plan.streams);
+  const std::uint32_t logical_begin = plan.slice.logical_begin;
   const std::uint32_t dev_begin = plan.slice.dev_begin;
   for (std::uint32_t i = 0; i < plan.slice.dev_count; ++i) {
     const std::uint32_t global = dev_begin + i;
@@ -150,7 +141,9 @@ GroupOutcome run_reactor_group(const ExperimentConfig& config, const GroupPlan& 
     for (auto& ring : rings) (void)ring->register_buffers(regions);
   }
 
-  for (auto [ordinal, spec] : group.streams) {
+  for (const std::uint32_t ordinal : streams) {
+    workload::StreamSpec spec = seeded_stream(config, ordinal);
+    spec.device -= logical_begin;
     // Stream placements were drawn against the simulated disk's capacity;
     // fold them into the (usually much smaller) real slice, preserving the
     // uniform request-aligned spread.
@@ -240,16 +233,9 @@ ExperimentResult run_experiment_real(const ExperimentConfig& config) {
   }
 
   // Home every stream on the reactor owning its device, keeping the global
-  // ordinal: seeds stay on the shard-0 chain with the global ordinal and
-  // rids key on it too, so results are invariant across reactor counts.
-  std::vector<GroupPlan> groups(reactors);
-  for (std::uint32_t k = 0; k < reactors; ++k) groups[k].cell = cell_plan(topology, plan, k);
-  for (std::uint32_t i = 0; i < config.streams.size(); ++i) {
-    workload::StreamSpec spec = seeded_stream(config, i);
-    const std::uint32_t k = plan.shard_of_logical(spec.device);
-    spec.device -= plan.slices[k].logical_begin;
-    groups[k].streams.emplace_back(i, std::move(spec));
-  }
+  // ordinal: seeds and rids key on it, so results are invariant across
+  // reactor counts.
+  std::vector<CellPlan> groups = plan_cells(config, topology, plan);
 
   // One pool thread per group. Pool tasks must not throw, so failures are
   // carried out as messages and rethrown here.
@@ -259,7 +245,7 @@ ExperimentResult run_experiment_real(const ExperimentConfig& config) {
     for (std::uint32_t k = 0; k < reactors; ++k) {
       pool.submit([&config, &groups, &outcomes, k, slice]() {
         try {
-          outcomes[k] = run_reactor_group(config, groups[k], slice);
+          outcomes[k] = run_reactor_group(config, std::move(groups[k]), slice);
         } catch (const std::exception& e) {
           outcomes[k].error = e.what();
         }

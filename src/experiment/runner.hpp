@@ -5,10 +5,12 @@
 // stream-scheduler server, closed-loop stream clients and their observers
 // on one execution context. The runners add only how cells run:
 //
-//   run_experiment          one cell on a Simulator, inline;
-//   run_experiment_sharded  one cell per ShardedEngine shard, clients
-//                           routed over the modelled interconnect;
-//   run_experiment_real     one cell per reactor thread over io_uring rings.
+//   run_experiment       one cell per controller group, each on its own
+//                        sim::Simulator and thread; one cell unless the
+//                        run is sharded or splits exactly (sharding.hpp);
+//   run_experiment_real  one cell per reactor thread over io_uring rings.
+//
+// Both home every stream on the cell that owns its device.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,6 @@
 #include "obs/timeseries.hpp"
 #include "obs/tracer.hpp"
 #include "raid/mirrored_volume.hpp"
-#include "sim/sharded.hpp"
 #include "stats/histogram.hpp"
 #include "workload/generator.hpp"
 
@@ -76,21 +77,20 @@ struct ExperimentConfig {
   /// per-disk queue depth, windowed MB/s) every `sample_interval` of sim
   /// time into ExperimentResult::timeseries.
   SimTime sample_interval = 0;
-  /// Event-engine shards (the `sim.shards` key). 1 = the
-  /// single-threaded engine, byte-identical to every release so far. > 1 =
-  /// the deployment splits at controller boundaries into that many
-  /// device-stack shards (clamped to the controller count and the raid
-  /// layout) running in parallel under a conservative-lookahead barrier,
-  /// with the clients reaching the shards over a modelled interconnect of
-  /// one lookahead per hop. Deterministic for a fixed seed and shard count.
+  /// Simulated cells (the `sim.shards` key). 1 = the result of one
+  /// Simulator over the whole node; a run that splits_exactly() gets it
+  /// from one cell per usable CPU. > 1 = the deployment splits at
+  /// controller boundaries into that many cells (clamped to the controller
+  /// count and the raid layout), each with its own Simulator, thread,
+  /// device-stack slice and share of the scheduler's dispatch set and
+  /// memory, and each stream runs on the cell that owns its device. The
+  /// result is still the one Simulator's when the config would split
+  /// exactly at 1, and deterministic for a fixed seed and cell count
+  /// otherwise.
   std::uint32_t shards = 1;
-  /// Cross-shard interconnect latency == the barrier lookahead
-  /// (`sim.lookahead` key). 0 = derive from the stack's network link
-  /// latency, or the built-in default without one.
-  SimTime lookahead = 0;
   /// Global workload seed (`workload.seed` key). Streams whose spec leaves
-  /// `seed` at 0 get an independent per-stream seed derived from this via
-  /// the per-shard hash chain (see experiment/sharding.hpp).
+  /// `seed` at 0 get an independent per-stream seed derived from this and
+  /// their spec ordinal (see experiment/sharding.hpp).
   std::uint64_t workload_seed = 0x53535457'4C4F4144ULL;  // "SSTWLOAD"
   /// Declarative tail-latency objective (`slo.*` keys). Enabled when
   /// `slo.objective > 0`: response times are additionally collected into
@@ -101,8 +101,8 @@ struct ExperimentConfig {
   /// lifecycle and exported as the latency_breakdown metrics group.
   bool attribution = false;
   /// Present = journal request-lifecycle events into this flight recorder
-  /// (owned by the caller, like the tracer). Sharded runs record into
-  /// per-shard rings merged back into this one after the engine joins.
+  /// (owned by the caller, like the tracer). Runs of several cells record
+  /// into per-cell rings merged back into this one after the cells finish.
   obs::FlightRecorder* flight = nullptr;
   /// Execution backend (`backend.*` keys). kSim unless configured
   /// otherwise; see run_experiment_real() for what kReal supports.
@@ -133,14 +133,13 @@ struct ReactorSummary : exec::ReactorStats {
   std::uint32_t requested = 1;  ///< configured value before clamping
 };
 
-/// Parallel-engine counters; `shards` stays 1 (and nothing is exported)
-/// for single-threaded runs.
-struct ShardSummary : sim::ShardedStats {
-  std::uint32_t shards = 1;     ///< effective shard count
+/// Cell counts of a sharded run; `shards` stays 1 (and nothing is
+/// exported) for a run whose result is one Simulator's.
+struct ShardSummary {
+  std::uint32_t shards = 1;     ///< effective cell count
   std::uint32_t requested = 1;  ///< configured value before clamping
-  SimTime lookahead = 0;
-  std::uint64_t min_shard_events = 0;  ///< least-loaded shard's events
-  std::uint64_t max_shard_events = 0;  ///< most-loaded shard's events
+  std::uint64_t min_shard_events = 0;  ///< least-loaded cell's events
+  std::uint64_t max_shard_events = 0;  ///< most-loaded cell's events
 };
 
 struct ExperimentResult {
@@ -171,8 +170,8 @@ struct ExperimentResult {
   raid::MirrorStats mirror_stats;    ///< summed over groups; zeros without kMirror
   std::uint64_t devices_failed = 0;  ///< declared failed by the scheduler
   std::uint64_t client_errors = 0;   ///< client requests completed in error
-  /// Parallel-engine counters; exported as sim.shard_* only when the run
-  /// actually sharded (keeping single-shard exports byte-identical).
+  /// Cell counts; exported as sim.shard_* only when the run sharded
+  /// (keeping single-cell exports byte-identical).
   ShardSummary shard_summary;
   /// Real-backend ring counters; exported as uring.* only for real runs.
   UringSummary uring_summary;
@@ -196,8 +195,9 @@ struct ExperimentResult {
 };
 
 /// Run one configuration to completion. Deterministic: same config, same
-/// result — except with backend.kind = kReal, where wall-clock timing makes
-/// every run unique.
+/// result (sim.wheel_cascades aside, which counts per cell and so depends on
+/// how many cells an exactly splitting run uses) — except with
+/// backend.kind = kReal, where wall-clock timing makes every run unique.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// True when the library was built with the io_uring backend

@@ -1,8 +1,9 @@
-// Shard planning for the parallel experiment runner: how a TopologySpec
-// splits into per-shard device-stack slices, which lookahead the barrier
-// uses, and how the global workload seed fans out into per-shard /
-// per-stream seeds. Pure config-time logic (no simulator), separated from
-// the runner so tests can pin the planning rules directly.
+// Cell planning for the experiment runners: how a TopologySpec splits into
+// per-cell device-stack slices at controller boundaries, when a simulated
+// run may split by itself because nothing couples its controllers, and the
+// workload seed chain every stream's seed derives from. Pure config-time
+// logic (no simulator), separated from the runners so tests can pin the
+// planning rules directly.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,7 @@
 
 namespace sst::experiment {
 
-/// One shard's contiguous slab of the deployment, in controller, physical
+/// One cell's contiguous slab of the deployment, in controller, physical
 /// device, and logical (post-raid) device coordinates.
 struct ShardSlice {
   std::uint32_t ctrl_begin = 0;
@@ -26,15 +27,14 @@ struct ShardSlice {
 };
 
 struct ShardPlan {
-  std::uint32_t requested = 1;  ///< configured shards before clamping
-  SimTime lookahead = 0;        ///< barrier window == interconnect latency
+  std::uint32_t requested = 1;  ///< configured cells before clamping
   std::vector<ShardSlice> slices;
 
   [[nodiscard]] std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(slices.size());
   }
 
-  /// Which shard owns logical device `device`.
+  /// Which cell owns logical device `device`.
   [[nodiscard]] std::uint32_t shard_of_logical(std::uint32_t device) const {
     for (std::uint32_t k = 0; k < shard_count(); ++k) {
       const ShardSlice& s = slices[k];
@@ -46,45 +46,40 @@ struct ShardPlan {
   }
 };
 
-/// Fallback interconnect latency (and thus lookahead) when the stack has no
-/// network layer to derive one from: comfortably above the per-command
-/// controller overhead (~0.3 ms bus time for a 64 KiB transfer) and small
-/// against disk service times, so the added client round-trip latency is
-/// noise while windows stay long enough to amortize the barrier.
-inline constexpr SimTime kDefaultShardLookahead = usec(500);
-
-/// Split `topology` into at most `requested` shards at controller
-/// boundaries (a controller and its disks never straddle shards). Clamps to
-/// the controller count; falls back toward fewer shards when the raid
+/// Split `topology` into at most `requested` cells at controller
+/// boundaries (a controller and its disks never straddle cells). Clamps to
+/// the controller count; falls back toward fewer cells when the raid
 /// layout couples devices across a proposed boundary (any striping, or a
-/// mirror group splitting). `lookahead_override` > 0 pins the lookahead;
-/// otherwise it derives from the network link latency when one is stacked
-/// (never below the default — the lookahead bounds delivery latency, so a
-/// larger safe value only helps) or kDefaultShardLookahead when not.
+/// mirror group splitting).
 [[nodiscard]] ShardPlan plan_shards(const node::TopologySpec& topology,
-                                    std::uint32_t requested,
-                                    SimTime lookahead_override = 0);
+                                    std::uint32_t requested);
 
-/// Per-shard workload seed: global seed ⊕ shard id pushed through the
-/// mix64 chain, so shards draw decorrelated stream sequences.
+struct ExperimentConfig;
+struct ExperimentResult;
+
+/// True when nothing in a simulated `config` couples its controllers or
+/// journals across them, so cells split at controller boundaries return
+/// exactly what one Simulator over the whole node returns (apart from
+/// sim.wheel_cascades): the sim backend, sim.shards <= 1, and no scheduler
+/// (one dispatch set and memory budget span the node), network link (one
+/// link carries every device), stripe (one volume spans every spindle),
+/// fault injection (its decisions are keyed per slice), tracer or flight
+/// recorder (one journal in event order) or sampling (one gauge set).
+/// run_experiment() splits such a run by itself.
+[[nodiscard]] bool splits_exactly(const ExperimentConfig& config);
+
+/// The workload seed chain: global seed ⊕ chain id through the mix64
+/// chain. Every runner seeds stream `ordinal` (its position in spec order)
+/// from chain 0, so a stream's seed does not depend on the cell it runs on.
 [[nodiscard]] constexpr std::uint64_t shard_workload_seed(std::uint64_t workload_seed,
                                                           std::uint32_t shard) {
   return derive_seed(workload_seed ^ shard, 0x53484152ULL /* "SHAR" */);
 }
 
-/// Per-stream seed within a shard, keyed by the shard-local ordinal (the
-/// stream's position among the shard's streams in spec order).
+/// Per-stream seed within a chain, keyed by the stream's ordinal.
 [[nodiscard]] constexpr std::uint64_t stream_seed(std::uint64_t shard_seed,
                                                   std::uint32_t ordinal) {
   return derive_seed(shard_seed, ordinal);
 }
-
-struct ExperimentConfig;
-struct ExperimentResult;
-
-/// The parallel engine behind run_experiment, for plans with > 1 shard.
-/// Callers go through run_experiment, which plans and dispatches.
-[[nodiscard]] ExperimentResult run_experiment_sharded(const ExperimentConfig& config,
-                                                      const ShardPlan& plan);
 
 }  // namespace sst::experiment

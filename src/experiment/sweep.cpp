@@ -11,6 +11,14 @@
 
 namespace sst::experiment {
 
+namespace {
+
+thread_local bool t_sweep_worker = false;
+
+}  // namespace
+
+bool on_sweep_worker() { return t_sweep_worker; }
+
 unsigned default_sweep_workers() {
   if (const char* env = std::getenv("SST_BENCH_THREADS")) {
     char* end = nullptr;
@@ -44,6 +52,7 @@ std::vector<ExperimentResult> run_sweep_jobs(
         std::min<std::size_t>(workers, jobs.size())));
     for (unsigned w = 0; w < pool.worker_count(); ++w) {
       pool.submit([&]() {
+        t_sweep_worker = true;
         for (std::size_t i = next.fetch_add(1); i < jobs.size(); i = next.fetch_add(1)) {
           try {
             results[i] = jobs[i]();

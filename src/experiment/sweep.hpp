@@ -1,8 +1,8 @@
 // Parallel sweep engine: every paper figure is a grid of independent,
-// deterministic, single-threaded simulations, so the only safe — and the
-// most profitable — parallelism is across grid points. run_sweep fans
-// experiment runs over a fixed-size thread pool while keeping results in
-// input order, bit-identical to a serial run.
+// deterministic simulations, so the most profitable parallelism is across
+// grid points. run_sweep fans experiment runs over a fixed-size thread pool
+// while keeping results in input order, bit-identical to a serial run. A
+// run on a pool worker keeps its cells on that worker (on_sweep_worker()).
 #pragma once
 
 #include <functional>
@@ -24,6 +24,11 @@ namespace sst::experiment {
 /// exception thrown by any run is rethrown after outstanding work drains.
 [[nodiscard]] std::vector<ExperimentResult> run_sweep(
     const std::vector<ExperimentConfig>& configs, unsigned workers = 0);
+
+/// True on a thread run_sweep_jobs() runs jobs on in parallel. A run there
+/// runs its cells in order on that thread instead of starting threads of
+/// its own: the sweep already keeps a worker per CPU busy.
+[[nodiscard]] bool on_sweep_worker();
 
 /// Generalized fan-out for sweeps whose points are not plain
 /// ExperimentConfigs (custom harnesses around the simulator). Each job must

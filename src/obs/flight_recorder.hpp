@@ -7,9 +7,9 @@
 // `capacity` events; on an SLO breach, a device failure, or an explicit
 // --flight-dump the buffer is serialized to JSON for post-mortem analysis.
 //
-// Sharded runs give each shard a private recorder (same single-writer
-// discipline as the per-shard tracers); merge_from() stitches them into one
-// chronological journal after the engine joins.
+// Runs of several cells give each cell a private recorder (same
+// single-writer discipline as the per-cell tracers); merge_from() stitches
+// them into one chronological journal after the cells finish.
 #pragma once
 
 #include <cstdint>

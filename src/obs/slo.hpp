@@ -4,19 +4,18 @@
 // Attribution threads a compact stage-timestamp record (RequestTrace,
 // pooled — no steady-state allocation) through the request lifecycle:
 //
-//   issue -> [ingress: network downlink + interconnect hop] -> admit
+//   issue -> [ingress: network downlink] -> admit
 //         -> [queue: scheduler queue + disk queue + seek/rotation/transfer
 //             as observed by this request] -> serve
 //         -> [staging: buffer consume + host CPU completion charge] -> done
-//         -> [uplink: response transit back to the client + return hop]
+//         -> [uplink: response transit back to the client]
 //         -> client completion
 //
 // The four stages partition the client-observed response time contiguously,
 // so their per-request sums reconcile with the end-to-end latency by
-// construction. Records cross ShardedEngine mailbox trampolines untouched:
-// a request is owned by exactly one shard at a time and the barrier
-// provides the happens-before edges, so the stamps stitch into one causal
-// chain under a stable request id.
+// construction. A request stays on the cell that owns its device from issue
+// to completion, so its stamps form one causal chain under a request id
+// that keys on the stream's global ordinal.
 //
 // The SLO engine evaluates a declarative objective (latency bound at a
 // target quantile, windowed, with an allowed burn rate) against streaming

@@ -13,8 +13,7 @@
 // schedules against the abstract context, and this engine — or the
 // wall-clock RealContext — supplies the time base. The class is `final` so
 // call sites holding a concrete Simulator& (the engine's own hot loops,
-// microbenchmarks, the sharded coordinator) still devirtualize now() and
-// schedule_at.
+// microbenchmarks) still devirtualize now() and schedule_at.
 #pragma once
 
 #include <cassert>

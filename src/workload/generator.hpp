@@ -50,10 +50,10 @@ struct StreamSpec {
   /// completion from this stream's private generator (seeded from `seed`).
   /// 0 = fully deterministic pacing and the generator is never advanced.
   SimTime think_jitter = 0;
-  /// Seed for this stream's private randomness. The experiment runner
-  /// derives it from the global workload seed via derive_seed() — per shard,
-  /// then per stream — so shards draw independent sequences instead of
-  /// sharing one.
+  /// Seed for this stream's private randomness. 0 = the experiment runner
+  /// derives it from the global workload seed and the stream's ordinal via
+  /// derive_seed(), so streams draw independent sequences whichever cell
+  /// runs them.
   std::uint64_t seed = 0;
   /// Open-loop pacing: when set, a new request is issued every
   /// `issue_period` regardless of completions (a constant-bitrate

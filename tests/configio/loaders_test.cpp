@@ -482,26 +482,25 @@ TEST(ExperimentLoader, FaultErrorsPropagateThroughLoadExperiment) {
 }
 
 TEST(ExperimentLoader, ParallelEngineKeys) {
-  // Defaults: single shard, derived lookahead, baked-in workload seed.
+  // Defaults: single shard, baked-in workload seed.
   const auto plain = load_experiment(make({}));
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain.value().shards, 1u);
-  EXPECT_EQ(plain.value().lookahead, 0u);
 
   const auto e = load_experiment(make({{"topology.preset", "medium"},
                                        {"sim.shards", "4"},
-                                       {"sim.lookahead", "2ms"},
                                        {"workload.seed", "99"},
                                        {"workload.think_jitter", "3ms"}}));
   ASSERT_TRUE(e.ok());
   EXPECT_EQ(e.value().shards, 4u);
-  EXPECT_EQ(e.value().lookahead, msec(2));
   EXPECT_EQ(e.value().workload_seed, 99u);
   for (const auto& spec : e.value().streams) {
     EXPECT_EQ(spec.think_jitter, msec(3));
   }
 
   EXPECT_FALSE(load_experiment(make({{"sim.shards", "0"}})).ok());
+  // Cells share no barrier, so no key sets one.
+  EXPECT_FALSE(load_experiment(make({{"sim.lookahead", "2ms"}})).ok());
 }
 
 TEST(ShippedConfigs, EveryExampleConfigLoads) {

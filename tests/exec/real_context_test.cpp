@@ -387,6 +387,71 @@ TEST(RealContextEpoll, MultiplexedDriversLoseNoWakeupsAndReportNoSpurious) {
   ctx.remove_driver(&b);
 }
 
+/// An eventfd driver whose signal lags its completions by one poll: each
+/// poll() first writes the signal owed for what the previous poll
+/// delivered, then delivers what is ready. That is the order a producer
+/// thread can take against the reactor's sweep (publish, the sweep drains
+/// the eventfd and delivers, then the signal lands), and the order an
+/// io_uring ring keeps (the CQE is posted before the eventfd is signalled),
+/// made deterministic on one thread.
+class LateSignalDriver final : public CompletionDriver {
+ public:
+  LateSignalDriver() : efd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
+  ~LateSignalDriver() override {
+    if (efd_ >= 0) ::close(efd_);
+  }
+
+  /// `n` operations in flight; `ready` of them deliverable, unsignalled.
+  void start(std::uint64_t n, std::uint64_t ready) {
+    in_flight_ += n;
+    ready_ += ready;
+  }
+
+  std::size_t poll(SimTime) override {
+    if (owed_ > 0) {
+      [[maybe_unused]] const ssize_t rc = ::write(efd_, &owed_, sizeof(owed_));
+      owed_ = 0;
+    }
+    const std::uint64_t n = ready_;
+    ready_ = 0;
+    owed_ = n;
+    in_flight_ -= n;
+    return n;
+  }
+
+  [[nodiscard]] std::size_t in_flight() const override { return in_flight_; }
+  [[nodiscard]] int event_fd() const override { return efd_; }
+
+ private:
+  int efd_ = -1;
+  std::uint64_t in_flight_ = 0;
+  std::uint64_t ready_ = 0;
+  std::uint64_t owed_ = 0;
+};
+
+TEST(RealContextEpoll, SignalAfterDeliveryWakesStaleNotSpurious) {
+  RealContext ctx;
+  LateSignalDriver driver;
+  ctx.add_driver(&driver);
+
+  // One completion ready and one that never completes, so the driver stays
+  // busy and every block is an epoll_wait. The first sweep delivers the
+  // completion; the second sweep drains an empty eventfd, and its poll
+  // writes the late signal; the epoll_wait that follows wakes at once on a
+  // signal whose completion is gone. Then the deadline ends the run.
+  driver.start(2, 1);
+  ctx.run_until(ctx.now() + msec(5));
+
+  const ReactorStats& stats = ctx.reactor_stats();
+  EXPECT_EQ(stats.completions, 1u);
+  EXPECT_EQ(stats.stale_wakeups, 1u);
+  EXPECT_EQ(stats.spurious_wakeups, 0u);
+  EXPECT_GT(stats.timer_wakeups, 0u);
+  EXPECT_EQ(stats.wakeups, stats.epoll_waits);
+
+  ctx.remove_driver(&driver);
+}
+
 TEST(RealContextEpoll, TimerDeadlinesHoldWhileDriversAreBusy) {
   RealContext ctx;
   EventfdDriver driver;

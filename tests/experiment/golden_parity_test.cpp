@@ -12,11 +12,13 @@
 // source tree) and review the diff before committing.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "experiment/runner.hpp"
 #include "workload/generator.hpp"
@@ -95,9 +97,9 @@ TEST(GoldenParity, Fig13StagedAllDispatched) {
                                   static_cast<Bytes>(streams) * 512 * KiB)));
 }
 
-// The sharded engine with attribution and an SLO: pins the per-shard
-// assembly, the cross-shard client routing and every merge (stats adders,
-// breakdown, SLO windows) that folds the shards back into one result.
+// Two cells with attribution and an SLO: pins the per-cell assembly and
+// scheduler share, the stream homing and every merge (stats adders,
+// breakdown, SLO windows) that folds the cells back into one result.
 TEST(GoldenParity, Fig13StagedTwoShardsAttributed) {
   const auto node = node::NodeConfig::medium();  // 2 controllers x 4 disks
   const std::uint32_t streams = 80;
@@ -111,6 +113,61 @@ TEST(GoldenParity, Fig13StagedTwoShardsAttributed) {
   ec.slo.quantile = 0.99;
   ec.slo.window = sec(1);
   expect_parity("fig13_staged_2shards_attributed.json", ec);
+}
+
+// Scheduler parity: the fig13 golden configs on 2 cells against 1. Each
+// cell schedules against its own share of the dispatch set and memory and
+// runs its own host CPU model, so a sharded run is a different experiment
+// from the one-Simulator run; this bounds how different. Measured (1 -> 2
+// cells): fig13_small_10 MB/s 363.397 -> 363.332, p95 11.420 -> 11.425 ms,
+// p99 14.300 -> 14.442, p999 16.592 -> 16.961, events per request 1.9344 ->
+// 1.9350; fig13_staged_10 MB/s 189.006 both, p95 222.95 -> 223.10, p99
+// 231.93 -> 232.67, p999 238.98 -> 239.27, 1.8760 -> 1.8769; the attributed
+// 1 s + 3 s variant MB/s 187.346 both, p95 227.80 -> 228.48, p99 240.09 ->
+// 240.50, p999 242.98 -> 243.23, 2.0195 -> 2.0203. Each bound sits two to
+// five times above the largest measured gap. p50 is not bounded: each
+// cell's host is less busy than the one host (fig13_staged_10: 3.0%
+// against 8.5%), so the median request, a buffer hit, waits less for it
+// (0.018 against 0.050 ms).
+TEST(GoldenParity, TwoCellsStayNearOneOnFig13Configs) {
+  const auto node = node::NodeConfig::medium();  // 2 controllers x 4 disks
+  const std::uint32_t d = node.total_disks();
+  const std::uint32_t streams = 80;
+  const Bytes staged_memory = static_cast<Bytes>(streams) * 512 * KiB;
+  ExperimentConfig attributed =
+      base_config(node, streams, paper(streams, 512 * KiB, 1, staged_memory));
+  attributed.warmup = sec(1);
+  attributed.measure = sec(3);
+  attributed.attribution = true;
+  attributed.slo.objective = msec(100);
+  attributed.slo.quantile = 0.99;
+  attributed.slo.window = sec(1);
+  const Bytes small_memory = static_cast<Bytes>(d) * 512 * KiB * 128 + 256 * MiB;
+  const std::pair<const char*, ExperimentConfig> configs[] = {
+      {"fig13_small_10", base_config(node, streams, paper(d, 512 * KiB, 128, small_memory))},
+      {"fig13_staged_10",
+       base_config(node, streams, paper(streams, 512 * KiB, 1, staged_memory))},
+      {"fig13_staged_attributed", attributed},
+  };
+  const auto near = [](double two, double one, double tolerance) {
+    return std::abs(two - one) <= tolerance * one;
+  };
+  for (const auto& [name, config] : configs) {
+    ExperimentConfig sharded = config;
+    sharded.shards = 2;
+    const ExperimentResult one = run_experiment(config);
+    const ExperimentResult two = run_experiment(sharded);
+    ASSERT_EQ(two.shard_summary.shards, 2u) << name;
+    EXPECT_PRED3(near, two.total_mbps, one.total_mbps, 0.001) << name;
+    EXPECT_PRED3(near, two.latency.p95_ms(), one.latency.p95_ms(), 0.01) << name;
+    EXPECT_PRED3(near, two.latency.p99_ms(), one.latency.p99_ms(), 0.02) << name;
+    EXPECT_PRED3(near, two.latency.p999_ms(), one.latency.p999_ms(), 0.05) << name;
+    const auto per_request = [](const ExperimentResult& r) {
+      return static_cast<double>(r.sim_events_dispatched) /
+             static_cast<double>(r.requests_completed);
+    };
+    EXPECT_PRED3(near, per_request(two), per_request(one), 0.002) << name;
+  }
 }
 
 TEST(GoldenParity, Fig14SingleDiskSmallDispatch) {
@@ -211,10 +268,6 @@ ExperimentResult every_counter_distinct() {
            &r.mirror_stats.write_failures,
            &r.devices_failed,
            &r.client_errors,
-           &r.shard_summary.lookahead,
-           &r.shard_summary.windows,
-           &r.shard_summary.cross_shard_events,
-           &r.shard_summary.horizon_violations,
            &r.shard_summary.min_shard_events,
            &r.shard_summary.max_shard_events,
            &r.uring_summary.submitted,
@@ -232,6 +285,7 @@ ExperimentResult every_counter_distinct() {
            &r.reactor_summary.wakeups,
            &r.reactor_summary.completion_wakeups,
            &r.reactor_summary.timer_wakeups,
+           &r.reactor_summary.stale_wakeups,
            &r.reactor_summary.spurious_wakeups,
            &r.reactor_summary.epoll_waits,
            &r.reactor_summary.inring_waits,

@@ -1,7 +1,7 @@
-// Sharded experiment runner: shard planning rules, multi-shard determinism
-// (fixed seed + shard count => byte-identical metrics across repeated
-// runs), per-shard workload seed derivation, metric export gating, and the
-// merged tracer / time-series surfaces.
+// Sharded runs: cell planning rules, multi-cell determinism (fixed seed +
+// shard count => byte-identical metrics across repeated runs), workload
+// seed derivation, metric export gating, and the merged tracer /
+// time-series surfaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,19 +93,6 @@ TEST(ShardPlanning, MirrorGroupsNeverStraddleShards) {
   EXPECT_EQ(plan.slices[1].logical_begin, 1u);
 }
 
-TEST(ShardPlanning, LookaheadDerivation) {
-  node::TopologySpec topo;
-  topo.node.num_controllers = 2;
-  EXPECT_EQ(plan_shards(topo, 2).lookahead, kDefaultShardLookahead);
-  EXPECT_EQ(plan_shards(topo, 2, msec(2)).lookahead, msec(2));
-  net::LinkParams link;
-  link.latency = msec(1);  // slower than the default: adopt it
-  topo.stack.network = link;
-  EXPECT_EQ(plan_shards(topo, 2).lookahead, msec(1));
-  topo.stack.network->latency = usec(50);  // faster: keep the safe default
-  EXPECT_EQ(plan_shards(topo, 2).lookahead, kDefaultShardLookahead);
-}
-
 TEST(ShardSeeding, ShardsAndStreamsDrawIndependentSeeds) {
   std::set<std::uint64_t> seeds;
   for (std::uint32_t shard = 0; shard < 8; ++shard) {
@@ -141,16 +128,15 @@ TEST(ShardedExperiment, FourShardsCompleteWorkAndExportShardMetrics) {
   EXPECT_GT(result.total_mbps, 0.0);
   EXPECT_EQ(result.stream_mbps.size(), 16u);
   EXPECT_EQ(result.shard_summary.shards, 4u);
-  EXPECT_GT(result.shard_summary.windows, 0u);
-  EXPECT_GT(result.shard_summary.cross_shard_events, 0u);
-  EXPECT_EQ(result.shard_summary.horizon_violations, 0u);
+  EXPECT_EQ(result.shard_summary.requested, 4u);
   EXPECT_GT(result.shard_summary.min_shard_events, 0u);
+  EXPECT_GE(result.shard_summary.max_shard_events, result.shard_summary.min_shard_events);
   // Disk traffic reached every shard's slice.
   EXPECT_GT(result.disk_totals.commands, 0u);
   // The registry nests "sim.shard_count" as {"sim": {"shard_count": ...}}.
   const std::string json = result.to_json();
   EXPECT_NE(json.find("\"shard_count\""), std::string::npos);
-  EXPECT_NE(json.find("\"shard_horizon_violations\""), std::string::npos);
+  EXPECT_NE(json.find("\"shard_min_events\""), std::string::npos);
 }
 
 TEST(ShardedExperiment, SingleShardExportsNoShardGroup) {

@@ -27,7 +27,6 @@
 #include "node/device_stack.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/slo.hpp"
-#include "sim/sharded.hpp"
 #include "workload/generator.hpp"
 
 namespace sst {
@@ -439,8 +438,8 @@ class PatternFile {
 
 // One metric surface across cell counts: every cell registers the same
 // gauge set, so a sharded run shows the single-cell columns under a
-// per-shard prefix, and its metrics export adds only the sim.shard_* group:
-// the ShardedStats table plus the run-level shard entries.
+// per-shard prefix, and its metrics export adds only the sim.shard_* group
+// of cell counts.
 TEST(SloExperiment, RollingPercentileColumnsAppearPerShard) {
   experiment::ExperimentConfig ec = obs_config(2, 4, 2);
   ec.sample_interval = msec(100);
@@ -470,9 +469,8 @@ TEST(SloExperiment, RollingPercentileColumnsAppearPerShard) {
   EXPECT_TRUE(sim_gauges.count("disk1.queue_depth"));
   EXPECT_EQ(gauge_names(result.timeseries, "shard"), sim_gauges);
   std::set<std::string> sharded_keys = metric_keys(single_result.to_json());
-  sharded_keys.merge(table_keys<sim::ShardedStats>("sim"));
-  sharded_keys.insert({"sim.shard_count", "sim.shard_requested", "sim.shard_lookahead_ms",
-                       "sim.shard_min_events", "sim.shard_max_events"});
+  sharded_keys.insert({"sim.shard_count", "sim.shard_requested", "sim.shard_min_events",
+                       "sim.shard_max_events"});
   EXPECT_EQ(metric_keys(result.to_json()), sharded_keys);
 }
 
