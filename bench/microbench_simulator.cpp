@@ -2,13 +2,17 @@
 // google-benchmark): raw event throughput through the pooled event slab,
 // schedule+cancel churn, the controller extent cache, the staged client
 // request path, a fig01-style end-to-end experiment, and the parallel sweep
-// engine's speedup over a serial run. Verifies — via global operator
-// new/delete counters — that schedule/fire, schedule/cancel, trace-event
-// recording, the controller cache and a staged client request allocate
-// NOTHING per operation once their slabs are warm.
+// engine's speedup over a serial run. Counts — via global operator
+// new/delete counters — the allocations of schedule/fire, schedule/cancel,
+// trace-event recording, the controller cache and a staged client request
+// once their slabs are warm.
 //
 // Usage: microbench_simulator [output.json]   (default BENCH_simcore.json)
-// The JSON is written even when a floor fails; the exit status is then 1.
+// The binary measures; scripts/check_bench_regression.py holds every gate
+// on its JSON (the alloc-free paths, zero-copy staging, the scaling and
+// speedup floors). It exits 1 only when a workload did not do what it
+// measures: a staged stream left undetected, a full controller cache with
+// no hits, or a sharded run that did not shard.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -298,19 +302,15 @@ double time_find_stream(std::uint32_t streams) {
   return elapsed / static_cast<double>(kLookups) * 1e9;
 }
 
-/// Regression guard for the O(log n) stream index: growing the stream
-/// population 32x must not scale the per-lookup cost anywhere near
-/// linearly. The algorithmic log factor is ~1.5x; the 10x bound leaves
-/// room for the larger map falling out of cache while still sitting far
-/// below the >100x a linear scan costs at 32k streams.
-void bench_find_stream(std::vector<BenchResult>& results, bool& scaling_ok) {
+/// Cost growth of the O(log n) stream index over 32x the stream population
+/// (gated in scripts/check_bench_regression.py).
+void bench_find_stream(std::vector<BenchResult>& results) {
   const double ns_small = time_find_stream(1024);
   const double ns_large = time_find_stream(32768);
   const double ratio = ns_small > 0 ? ns_large / ns_small : 0.0;
   results.push_back({"find_stream_1k", ns_small, "ns/lookup", 0});
   results.push_back({"find_stream_32k", ns_large, "ns/lookup", 0});
   results.push_back({"find_stream_scaling", ratio, "x", 0});
-  scaling_ok = ratio < 10.0;
 }
 
 /// Completes each request a fixed service time after submission through
@@ -434,16 +434,15 @@ BenchResult time_ctrl_cache(const char* name, std::uint32_t extents) {
   return {name, elapsed / static_cast<double>(kRounds) * 1e9, "ns/op", allocs};
 }
 
-/// Regression guard for the O(log n) controller cache: 32x the extents
-/// must cost under 4x per round, where a list walk costs about 32x.
-void bench_ctrl_cache(std::vector<BenchResult>& results, bool& scaling_ok) {
+/// Cost growth of the O(log n) controller cache over 32x the extents
+/// (gated in scripts/check_bench_regression.py).
+void bench_ctrl_cache(std::vector<BenchResult>& results) {
   const BenchResult small = time_ctrl_cache("ctrl_cache_256", 256);
   const BenchResult large = time_ctrl_cache("ctrl_cache_8k", 8192);
   const double ratio = small.value > 0 ? large.value / small.value : 0.0;
   results.push_back(small);
   results.push_back(large);
   results.push_back({"ctrl_cache_scaling", ratio, "x", 0});
-  scaling_ok = ratio < 4.0;
 }
 
 experiment::ExperimentConfig small_fig01_config(std::uint32_t streams) {
@@ -545,12 +544,11 @@ experiment::ExperimentConfig fig12_shard_config(std::uint32_t shards) {
 
 /// Wall-clock for the same fig12-style workload at 1/2/4/8 shards, plus
 /// the speedup of 4 shards over the single-threaded engine — the number
-/// the regression gate tracks. The in-binary floor (>= 2x) only applies
-/// on hosts with at least 4 cores; below that the measurement is still
-/// emitted, but under the ungated "x" unit (the regression script gates
-/// by the current run's unit), because a speedup measured without the
-/// cores to run the shards cannot mean anything.
-void bench_parallel_sim(std::vector<BenchResult>& results, bool& speedup_ok) {
+/// the regression gate tracks under the "speedup" unit, whose >= 2x floor
+/// lives in scripts/check_bench_regression.py. Below 4 cores the figure is
+/// emitted under the ungated "x" unit instead, because a speedup measured
+/// without the cores to run the shards cannot mean anything.
+void bench_parallel_sim(std::vector<BenchResult>& results) {
   double single_sec = 0.0;
   double four_sec = 0.0;
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
@@ -577,9 +575,8 @@ void bench_parallel_sim(std::vector<BenchResult>& results, bool& speedup_ok) {
   const unsigned cores = std::thread::hardware_concurrency();
   results.push_back(
       {"sim_parallel_speedup", speedup, cores >= 4 ? "speedup" : "x", 0});
-  speedup_ok = cores < 4 || speedup >= 2.0;
   if (cores < 4) {
-    std::printf("sim_parallel: only %u cores, speedup floor not enforced\n", cores);
+    std::printf("sim_parallel: only %u cores, speedup emitted ungated\n", cores);
   }
 }
 
@@ -693,46 +690,19 @@ int main(int argc, char** argv) {
   results.push_back(bench_flight_record());
   bench_staging(results);
   results.push_back(bench_end_to_end());
-  bool find_stream_scaling_ok = true;
-  bench_find_stream(results, find_stream_scaling_ok);
+  bench_find_stream(results);
   results.push_back(bench_staged_request_path());
-  bool ctrl_cache_scaling_ok = true;
-  bench_ctrl_cache(results, ctrl_cache_scaling_ok);
+  bench_ctrl_cache(results);
   bench_sweep(results);
-  bool parallel_speedup_ok = true;
-  bench_parallel_sim(results, parallel_speedup_ok);
+  bench_parallel_sim(results);
 #if defined(SST_WITH_URING)
   bench_uring_roundtrip(results);
 #endif
 
-  // Every floor is checked and the JSON written before the exit status
-  // reports a failure, so a tripped floor still leaves its numbers.
-  std::vector<std::string> failures;
-  bool alloc_free = true;
   for (const auto& r : results) {
     std::printf("%-20s %14.1f %-10s steady-state allocs: %llu\n", r.name.c_str(),
                 r.value, r.unit.c_str(),
                 static_cast<unsigned long long>(r.steady_state_allocations));
-    if (r.name == "event_throughput" || r.name == "event_throughput_8k" ||
-        r.name == "schedule_cancel" || r.name == "tracer_record" ||
-        r.name == "flight_record" || r.name == "staging_zero_copy" ||
-        r.name == "ctrl_cache_256" || r.name == "ctrl_cache_8k" ||
-        r.name == "staged_request_path") {
-      if (r.steady_state_allocations != 0) alloc_free = false;
-    }
-    if (r.name == "staging_copied_bytes_per_request" && r.value != 0.0) {
-      failures.push_back("zero-copy staging path copied bytes");
-    }
-  }
-  if (!alloc_free) failures.push_back("steady-state hot path performed heap allocations");
-  if (!find_stream_scaling_ok) {
-    failures.push_back("find_stream lookup cost scales super-logarithmically");
-  }
-  if (!ctrl_cache_scaling_ok) {
-    failures.push_back("controller cache round cost scales super-logarithmically");
-  }
-  if (!parallel_speedup_ok) {
-    failures.push_back("sharded engine under 2x speedup at 4 shards on a >=4-core host");
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -751,11 +721,8 @@ int main(int argc, char** argv) {
                  r.informational ? ", \"informational\": true" : "",
                  i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n  \"steady_state_alloc_free\": %s\n}\n",
-               alloc_free ? "true" : "false");
+  std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
-
-  for (const auto& f : failures) std::fprintf(stderr, "FAIL: %s\n", f.c_str());
-  return failures.empty() ? 0 : 1;
+  return 0;
 }

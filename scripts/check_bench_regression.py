@@ -6,15 +6,17 @@ Usage: check_bench_regression.py BASELINE.json CURRENT.json [--tolerance 0.15]
 Both files are microbench_simulator output:
 
     {"benchmarks": [{"name": ..., "value": ..., "unit": ...,
-                     "steady_state_allocations": ...}, ...],
-     "steady_state_alloc_free": true}
+                     "steady_state_allocations": ...}, ...]}
 
-Two classes of regression fail the gate:
+The binary only measures; every gate on its numbers is stated here, once.
+Three classes of regression fail the gate:
 
   * steady_state_allocations grows for any benchmark present in the
-    baseline (zero tolerance: the alloc-free hot path is a hard
-    invariant, not a performance number), or the overall
-    steady_state_alloc_free flag flips to false.
+    baseline, or is nonzero on a ZERO_ALLOC_INVARIANT path (zero
+    tolerance: the alloc-free hot path is a hard invariant, not a
+    performance number).
+  * a FLOORS rule fails on the current run: a named benchmark's value
+    against a fixed limit, whatever the baseline says.
   * a rate-style benchmark (unit not in the timing/informational set)
     drops more than --tolerance (default 15%) below the baseline value,
     or a lower-is-better benchmark ("bytes", "ns/lookup", "ns/op" — copy
@@ -27,18 +29,18 @@ scaling factor "x") are reported but never gated: CI runners are too
 noisy for absolute timing, and the same work is covered by the rate
 benchmarks. The parallel-engine "speedup" unit is deliberately NOT in
 the ungated set: sim_parallel_speedup is a first-class deliverable of
-the sharded simulation core, and its baseline is set conservatively so
-the 15% tolerance floor still asserts the >= 2x-at-4-shards contract
-on 4-vCPU runners. (On hosts with fewer than 4 cores the bench binary
-itself emits that entry under the ungated "x" unit — gating keys off
-the current run's unit — since a parallel speedup measured without the
-cores to run the shards is noise, not signal.)
+the parallel simulation cells, held to its FLOORS rule (>= 2x at 4
+cells) and to its baseline. (On hosts with fewer than 4 cores the bench
+binary emits that entry under the ungated "x" unit, which the rule and
+the baseline comparison both skip — gating keys off the current run's
+unit — since a parallel speedup measured without the cores to run the
+cells is noise, not signal.)
 New benchmarks missing from the baseline are reported as informational;
 benchmarks that disappeared fail the gate (a silently dropped benchmark
 is how regressions hide).
 
 Entries carrying "informational": true (in either file) are exempt from
-both rules: their values are machine- or disk-dependent (the real-I/O
+the baseline rules: their values are machine- or disk-dependent (the real-I/O
 uring numbers, emitted only when SST_URING_BENCH_FILE is set), so they
 ride the baseline file for visibility but never gate — value drift is
 reported, and absence from the current run is fine when the run had no
@@ -62,12 +64,26 @@ ZERO_ALLOC_INVARIANT = {
     "tracer_record", "flight_record", "staging_zero_copy",
     "ctrl_cache_256", "ctrl_cache_8k", "staged_request_path",
 }
+# Fixed floors on the current run:
+# benchmark -> (unit the rule applies in, or None for any, comparison, limit).
+FLOORS = {
+    # Lookup cost at 32k streams over 1k. The O(log n) index's log factor
+    # is ~1.5x; 10x leaves room for the larger map falling out of cache
+    # and still sits far below the >100x of a linear scan.
+    "find_stream_scaling": (None, "<", 10.0),
+    # Controller cache round cost at 8k extents over 256: a list walk
+    # costs about 32x, the O(log n) index well under 4x.
+    "ctrl_cache_scaling": (None, "<", 4.0),
+    # 4 cells over 1 on a host with at least 4 cores.
+    "sim_parallel_speedup": ("speedup", ">=", 2.0),
+}
+COMPARE = {"<": lambda v, limit: v < limit, ">=": lambda v, limit: v >= limit}
 
 
 def load(path):
     with open(path) as fh:
         doc = json.load(fh)
-    return {b["name"]: b for b in doc.get("benchmarks", [])}, doc
+    return {b["name"]: b for b in doc.get("benchmarks", [])}
 
 
 def main():
@@ -78,15 +94,19 @@ def main():
                         help="allowed fractional drop for rate benchmarks")
     args = parser.parse_args()
 
-    base, base_doc = load(args.baseline)
-    cur, cur_doc = load(args.current)
+    base = load(args.baseline)
+    cur = load(args.current)
 
     failures = []
     rows = []
 
-    if base_doc.get("steady_state_alloc_free") and not cur_doc.get(
-            "steady_state_alloc_free"):
-        failures.append("steady_state_alloc_free flipped to false")
+    for name, (unit, op, limit) in FLOORS.items():
+        c = cur.get(name)
+        if c is None or (unit is not None and c.get("unit") != unit):
+            continue
+        if not COMPARE[op](float(c["value"]), limit):
+            failures.append(f"{name}: {float(c['value']):.3f} {c.get('unit', '')} "
+                            f"misses its floor ({op} {limit:g})")
 
     for name, b in sorted(base.items()):
         c = cur.get(name)

@@ -109,7 +109,6 @@ Result<core::SchedulerParams> load_scheduler_params(const Config& cfg) {
   p.pending_timeout = cfg.get_duration("sched.pending_timeout", p.pending_timeout);
   p.stream_timeout = cfg.get_duration("sched.stream_timeout", p.stream_timeout);
   p.gc_period = cfg.get_duration("sched.gc_period", p.gc_period);
-  p.materialize_buffers = cfg.get_bool("sched.materialize", p.materialize_buffers);
   p.device_fail_threshold = cfg.get_uint32("sched.fail_threshold", p.device_fail_threshold);
   if (const Status read = cfg.status(false); !read.ok()) return read.error();
   const Status valid = p.validate();

@@ -47,7 +47,7 @@ namespace sst::configio {
 /// (round-robin|nearest-offset), sched.classifier.block,
 /// sched.classifier.offset_blocks, sched.classifier.threshold,
 /// sched.buffer_timeout, sched.pending_timeout, sched.stream_timeout, sched.gc_period,
-/// sched.materialize, sched.fail_threshold (device errors before eviction).
+/// sched.fail_threshold (device errors before eviction).
 [[nodiscard]] Result<core::SchedulerParams> load_scheduler_params(const Config& cfg);
 
 /// Keys: fault.seed, fault.media_error_rate, fault.persistent_fraction,

@@ -64,8 +64,9 @@ struct SchedulerParams {
   /// Memory budget M for I/O buffers (the buffered set). Must satisfy
   /// M >= D*R*N when D is set explicitly.
   Bytes memory_budget = 64 * MiB;
-  /// When true, I/O buffers carry real backing memory that devices fill;
-  /// benches leave this off to model timing without allocating gigabytes.
+  /// When true, I/O buffers carry real backing memory that devices fill.
+  /// A real experiment cell sets it; simulated runs leave it off to model
+  /// timing without allocating gigabytes.
   bool materialize_buffers = false;
 
   DispatchPolicyKind policy = DispatchPolicyKind::kRoundRobin;

@@ -233,7 +233,12 @@ void RealContext::run_until(SimTime deadline) {
   for (;;) {
     const SimTime next = fire_due();
     const SimTime t = now();
-    if (t >= deadline) return;
+    if (t >= deadline) {
+      // One last non-blocking sweep: a reactor descheduled across the
+      // deadline still delivers the completions posted by it.
+      wait_for_work(0);
+      return;
+    }
     const SimTime target = std::min(deadline, next);
     wait_for_work(target > t ? target - t : 0);
   }

@@ -125,8 +125,8 @@ class RealContext final : public ExecutionContext {
 
   /// Run timers and completion drivers until the wall clock reaches
   /// `deadline` (nanoseconds since construction). Tasks due exactly at the
-  /// deadline still run; like Simulator::run_until, consecutive calls see
-  /// contiguous time.
+  /// deadline still run, and a completion posted by it is delivered; like
+  /// Simulator::run_until, consecutive calls see contiguous time.
   void run_until(SimTime deadline);
 
   /// Run until no timers are pending and no driver has I/O in flight.

@@ -1,7 +1,7 @@
 // A cell's scheduler share, and by-name aliases of the counter fold.
 // merge_cells() (experiment/cell.hpp) folds every cell's counters into the
 // one ExperimentResult through the per-layer counter tables
-// (common/counters.hpp), whatever the runner and cell count;
+// (common/counters.hpp), whatever the backend and cell count;
 // slice_scheduler_params() sizes the server of a cell smaller than the node.
 #pragma once
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -92,7 +93,7 @@ Cell::Cell(exec::ExecutionContext& ctx, const ExperimentConfig& config, CellPlan
     // Real I/O needs real memory: staged read-aheads carry destination
     // buffers the kernel can DMA into. The host CPU model is the sim's: a
     // real cell runs it at zero cost, so each issue and completion only
-    // waits for the reactor's next turn, and the runner measures the CPU.
+    // waits for the reactor's next turn, and its CellRunner measures the CPU.
     if (real) {
       params.materialize_buffers = true;
       params.host = {0, 0, 0};
@@ -132,6 +133,27 @@ Cell::Cell(exec::ExecutionContext& ctx, const ExperimentConfig& config, CellPlan
     };
   }
   entry_ = stack_->wrap_sink(std::move(sink));
+
+  for (const std::uint32_t ordinal : plan_.streams) {
+    workload::StreamSpec spec = seeded_stream(config, ordinal);
+    spec.device -= plan_.slice.logical_begin;
+    const Bytes capacity = device_capacity(spec.device);
+    // Placements were drawn against the simulated disk's capacity: a real
+    // cell folds them into its (usually much smaller) file slice, keeping
+    // the uniform request-aligned spread.
+    if (real) {
+      const Bytes slots = capacity / spec.request_size;
+      if (slots == 0) {
+        throw std::runtime_error("backend.kind=real: device slice smaller than one request (" +
+                                 std::to_string(spec.request_size) + " bytes)");
+      }
+      spec.start_offset = spec.start_offset / spec.request_size % slots * spec.request_size;
+      if (spec.region_bytes != 0 && spec.start_offset + spec.region_bytes > capacity) {
+        spec.region_bytes = capacity - spec.start_offset;
+      }
+    }
+    add_client(ordinal, spec, capacity);
+  }
 }
 
 Cell::~Cell() = default;
@@ -303,17 +325,45 @@ CellOutcome Cell::harvest(SimTime t0, SimTime t1) {
 }
 
 std::vector<CellPlan> plan_cells(const ExperimentConfig& config,
-                                 const node::TopologySpec& topology, const ShardPlan& plan) {
-  std::vector<CellPlan> cells(plan.shard_count());
-  for (std::uint32_t k = 0; k < cells.size(); ++k) {
-    const ShardSlice& slice = plan.slices[k];
-    cells[k].id = k;
-    cells[k].count = plan.shard_count();
-    cells[k].slice = slice;
-    cells[k].topology = topology.shard_slice(slice.ctrl_begin, slice.ctrl_count);
+                                 const node::TopologySpec& topology, std::uint32_t requested) {
+  const std::uint32_t controllers = topology.node.num_controllers;
+  const std::uint32_t dpc = topology.node.disks_per_controller;
+  const io::RaidSpec& raid = topology.stack.raid;
+  const std::uint32_t mirror_ways = raid.kind == io::RaidSpec::Kind::kMirror ? raid.mirror_ways : 1;
+  // One striped volume spans every device: the raid layer is a single
+  // coupling point, so striping always runs in one cell.
+  std::uint32_t count =
+      raid.kind == io::RaidSpec::Kind::kStripe ? 1 : std::min(std::max(requested, 1U), controllers);
+  for (; count > 1; --count) {
+    // Near-even contiguous controller ranges; accept this count only when
+    // no mirror group straddles a boundary.
+    bool ok = true;
+    for (std::uint32_t k = 0; k < count && ok; ++k) {
+      ok = ((k + 1) * controllers / count - k * controllers / count) * dpc % mirror_ways == 0;
+    }
+    if (ok) break;
+  }
+
+  std::vector<CellPlan> cells(count);
+  for (std::uint32_t k = 0; k < count; ++k) {
+    CellPlan& cell = cells[k];
+    ShardSlice& slice = cell.slice;
+    cell.id = k;
+    cell.count = count;
+    slice.ctrl_begin = k * controllers / count;
+    slice.ctrl_count = (k + 1) * controllers / count - slice.ctrl_begin;
+    slice.dev_begin = slice.ctrl_begin * dpc;
+    slice.dev_count = slice.ctrl_count * dpc;
+    slice.logical_begin = slice.dev_begin / mirror_ways;
+    slice.logical_count = slice.dev_count / mirror_ways;
+    cell.topology = topology.shard_slice(slice.ctrl_begin, slice.ctrl_count);
   }
   for (std::uint32_t i = 0; i < config.streams.size(); ++i) {
-    cells[plan.shard_of_logical(config.streams[i].device)].streams.push_back(i);
+    const std::uint32_t device = config.streams[i].device;
+    const auto owner = std::find_if(cells.begin(), cells.end(), [device](const CellPlan& cell) {
+      return device < cell.slice.logical_begin + cell.slice.logical_count;
+    });
+    (owner == cells.end() ? cells.front() : *owner).streams.push_back(i);
   }
   return cells;
 }
@@ -398,6 +448,22 @@ ExperimentResult merge_cells(const ExperimentConfig& config, std::vector<CellOut
     fold_counters(result.mirror_stats, part.mirror_stats);
     result.sim_events_dispatched += part.sim_events_dispatched;
     result.sim_wheel_cascades += part.sim_wheel_cascades;
+    // A real cell's rings and reactor; per-ring arrays in cell order, which
+    // is global device order.
+    const UringSummary& rings = part.uring_summary;
+    UringSummary& uring = result.uring_summary;
+    uring.enabled = uring.enabled || rings.enabled;
+    uring.devices += rings.devices;
+    uring.direct_devices += rings.direct_devices;
+    fold_counters(uring, rings);
+    uring.per_device_completed.insert(uring.per_device_completed.end(),
+                                      rings.per_device_completed.begin(),
+                                      rings.per_device_completed.end());
+    uring.per_device_setup_flags.insert(uring.per_device_setup_flags.end(),
+                                        rings.per_device_setup_flags.begin(),
+                                        rings.per_device_setup_flags.end());
+    result.reactor_summary.enabled = result.reactor_summary.enabled || part.reactor_summary.enabled;
+    fold_counters(result.reactor_summary, part.reactor_summary);
     result.breakdown.merge_from(part.breakdown);
     slo_windows.merge_from(cell.slo_windows);
     end_time = std::max(end_time, cell.end_time);

@@ -2,17 +2,19 @@
 // by one constructor and harvested into plain data. A cell holds
 //
 //   - the io::DeviceStack above its leaf devices: a simulated node slice on
-//     the sim backend, io_uring rings opened by the runner on the real one;
-//     both go through the same io::DeviceStackBuilder;
+//     the sim backend, io_uring rings opened by the real backend's cell
+//     runner; both go through the same io::DeviceStackBuilder;
 //   - the optional StorageServer with its share of the scheduler resources;
-//   - the resident StreamClients, each behind the one attribution/flight
-//     wrapper when attribution is on;
+//   - the StreamClients of its plan, made resident by the constructor, each
+//     behind the one attribution/flight wrapper when attribution is on;
 //   - the SLO windows, and a private tracer and flight ring when the
 //     experiment has more than one cell;
 //   - the one gauge set of the time-series sampler.
 //
-// The runners (runner.hpp) differ only in the context each cell runs on;
-// merge_cells() folds their outcomes into the result.
+// One pipeline runs every experiment (runner.hpp): plan_cells() cuts the
+// deployment, run_experiment() runs each cell through a CellRunner, which
+// is all that differs between the backends, and merge_cells() folds the
+// outcomes into the result.
 #pragma once
 
 #include <cstdint>
@@ -37,23 +39,27 @@ struct CellPlan {
   /// The deployment slice the cell builds: node and device stack.
   node::TopologySpec topology;
   /// Spec ordinals of the streams homed on the cell, in spec order. The
-  /// runner makes each resident with Cell::add_client(): the ordinal keys
-  /// its result slot and request ids, and its spec is seeded_stream()'s
-  /// with the device index rebased into the slice.
+  /// cell makes each resident: the ordinal keys its result slot and
+  /// request ids, and its spec is seeded_stream()'s with the device index
+  /// rebased into the slice.
   std::vector<std::uint32_t> streams;
-  /// Real backend: the opened leaf devices (owned by the runner), which
-  /// replace the simulated node of `topology`.
+  /// Real backend: the opened leaf devices (owned by the cell runner),
+  /// which replace the simulated node of `topology`.
   std::vector<blockdev::BlockDevice*> devices;
 };
 
-/// The cells of `plan` over `topology`: each one's slice, the sub-topology
-/// it builds with fault seeds and bad ranges rebased into the slice
+/// Cut `topology` into at most `requested` cells at controller boundaries
+/// (a controller and its disks never straddle cells): clamped to the
+/// controller count, and toward fewer cells when the raid layout couples
+/// devices across a proposed boundary (any striping, or a mirror group
+/// splitting). Each cell gets its slice, the sub-topology it builds with
+/// fault seeds and bad ranges rebased into the slice
 /// (node::TopologySpec::shard_slice), and every stream of `config` homed on
-/// the cell that owns its device. Sim and real runners both plan their
-/// cells through it.
+/// the cell that owns its device (the first cell for a device none owns,
+/// whose set-up then fails). Both backends plan their cells through it.
 [[nodiscard]] std::vector<CellPlan> plan_cells(const ExperimentConfig& config,
                                                const node::TopologySpec& topology,
-                                               const ShardPlan& plan);
+                                               std::uint32_t requested);
 
 /// Plain-data result of one cell, produced on the thread that ran it. The
 /// counters sit in an ExperimentResult of their own: the resident clients'
@@ -72,8 +78,9 @@ struct CellOutcome {
 
 class Cell {
  public:
-  /// Build the cell's device stack, server and observers on `ctx`. The
-  /// config, the context and the plan's leaf devices must outlive the cell.
+  /// Build the cell's device stack, server and observers on `ctx`, and make
+  /// the plan's streams resident. The config, the context and the plan's
+  /// leaf devices must outlive the cell.
   Cell(exec::ExecutionContext& ctx, const ExperimentConfig& config, CellPlan plan);
   Cell(const Cell&) = delete;
   Cell& operator=(const Cell&) = delete;
@@ -85,6 +92,7 @@ class Cell {
   [[nodiscard]] Bytes device_capacity(std::uint32_t device) const;
 
   /// Make a client resident on this cell; its requests enter at entry().
+  /// The constructor does this for the plan's streams.
   void add_client(std::uint32_t ordinal, const workload::StreamSpec& spec, Bytes capacity);
 
   /// Start the resident clients, then the gauges.
@@ -130,17 +138,42 @@ class Cell {
   obs::TimeSeriesSampler sampler_;
 };
 
-/// The spec of stream `ordinal` with the seed every runner gives it: chain
+/// The spec of stream `ordinal` with the seed every cell gives it: chain
 /// 0 of the workload seed, keyed by the position in spec order.
 [[nodiscard]] workload::StreamSpec seeded_stream(const ExperimentConfig& config,
                                                  std::uint32_t ordinal);
 
 /// Fold the cells' outcomes into one result: streams in spec order, stats
-/// through their counter tables (common/counters.hpp), the busiest cell's
-/// host CPU, private tracers and flight rings into the caller's, time series
-/// column-wise with a summed `mbps`, breakdown and SLO windows into one
-/// verdict.
+/// through their counter tables (common/counters.hpp), ring and reactor
+/// counters too with the per-ring arrays joined in cell order, the busiest
+/// cell's host CPU, private tracers and flight rings into the caller's,
+/// time series column-wise with a summed `mbps`, breakdown and SLO windows
+/// into one verdict.
 [[nodiscard]] ExperimentResult merge_cells(const ExperimentConfig& config,
                                            std::vector<CellOutcome>& cells);
+
+/// What a cell runs on, the cell included. A CellRunner builds it; it is
+/// torn down once the cells are merged, on the thread that built it.
+class CellModel {
+ public:
+  CellModel() = default;
+  CellModel(const CellModel&) = delete;
+  CellModel& operator=(const CellModel&) = delete;
+  virtual ~CellModel() = default;
+};
+
+/// Builds, runs and harvests one cell on the calling thread, leaving what
+/// the cell ran on in `model`: all that differs between the backends.
+using CellRunner =
+    std::function<CellOutcome(CellPlan plan, std::unique_ptr<CellModel>& model)>;
+
+/// The real backend's CellRunner: on a fresh exec::RealContext, it opens one
+/// UringBlockDevice slice of `backend.path` per device of the cell,
+/// pre-warms and registers the staging memory, runs the window, drains the
+/// rings and reports their counters and the reactor's measured CPU. Throws
+/// std::runtime_error at once when the backend is unavailable, the config
+/// asks for a network link or sim.shards > 1, or the backing file does not
+/// fit the topology.
+[[nodiscard]] CellRunner real_cell_runner(const ExperimentConfig& config);
 
 }  // namespace sst::experiment

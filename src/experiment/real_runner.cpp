@@ -1,16 +1,10 @@
-// The real-I/O runner: one Cell per reactor thread, each on its own
-// exec::RealContext over io_uring rings. It adds to the cells what only a
-// real run has: validate(), the backing-file slicing, opening the rings,
-// pre-warming and registering the fixed buffers, the drain, each reactor's
-// measured CPU, and the uring.* / reactor.* counters.
-//
-// Reactors are planned like sim cells. A file slice has no controller, so
-// plan_shards() runs over the topology with one physical device per
-// controller: backend.reactors = N splits the devices into up to N
-// contiguous groups, a mirror group stays on one reactor and a stripe runs
-// on one. Each group is a cell with its own context, rings, scheduler share
-// and resident clients on a dedicated thread, and each stream is homed on
-// the reactor that owns its device.
+// The real backend's CellRunner: what only a real cell has. Each cell runs
+// on a RealContext (its reactor) over one io_uring ring per device, opened
+// on a slice of the backing file; run_experiment() plans and runs the cells
+// like simulated ones and merge_cells() folds their ring and reactor
+// counters. Beyond the cell, the runner validates the config, slices the
+// backing file, pre-warms and registers the fixed buffers, drains the rings
+// and measures the reactor's CPU.
 //
 // The cells stack fault injection, retry and raid over the rings exactly as
 // over simulated disks. Only the simulated network link and sim.shards > 1
@@ -23,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "experiment/runner.hpp"
+#include "experiment/cell.hpp"
 
 #if defined(SST_WITH_URING)
 #include <sys/stat.h>
@@ -33,9 +27,7 @@
 
 #include "blockdev/uring_block_device.hpp"
 #include "common/counters.hpp"
-#include "common/thread_pool.hpp"
 #include "exec/real_context.hpp"
-#include "experiment/cell.hpp"
 #endif
 
 namespace sst::experiment {
@@ -50,7 +42,7 @@ bool real_backend_available() {
 
 #if !defined(SST_WITH_URING)
 
-ExperimentResult run_experiment_real(const ExperimentConfig& config) {
+CellRunner real_cell_runner(const ExperimentConfig& config) {
   (void)config;
   throw std::runtime_error(
       "backend.kind=real requires a build with -DSST_WITH_URING=ON");
@@ -72,21 +64,6 @@ void validate(const ExperimentConfig& config) {
   }
 }
 
-/// One ring's counters and setup, read before the ring closes.
-struct RingOutcome {
-  blockdev::UringStats stats;
-  std::uint32_t setup_flags = 0;
-  bool direct = false;  ///< the backing fd took O_DIRECT
-};
-
-/// One reactor's cell outcome plus what only the real leaf knows.
-struct GroupOutcome {
-  CellOutcome cell;
-  std::vector<RingOutcome> rings;  ///< in device order
-  exec::ReactorStats reactor;
-  std::string error;  ///< non-empty = the group threw; message to rethrow
-};
-
 /// CPU time the calling thread has used, in nanoseconds.
 SimTime thread_cpu_ns() {
   timespec ts{};
@@ -94,18 +71,26 @@ SimTime thread_cpu_ns() {
   return static_cast<SimTime>(ts.tv_sec) * 1'000'000'000ULL + static_cast<SimTime>(ts.tv_nsec);
 }
 
-/// Run one reactor group start to finish on this thread:
-/// IORING_SETUP_SINGLE_ISSUER binds each ring to the thread that opened it,
-/// so setup, I/O and teardown all stay here.
-GroupOutcome run_reactor_group(const ExperimentConfig& config, CellPlan plan, Bytes slice) {
-  GroupOutcome out;
+/// A real cell's model. Members are destroyed in reverse order: the cell
+/// first, then the rings, then the context.
+struct RealModel final : CellModel {
   exec::RealContext ctx;
   std::vector<std::unique_ptr<blockdev::UringBlockDevice>> rings;
-  const std::vector<std::uint32_t> streams = std::move(plan.streams);
-  const std::uint32_t logical_begin = plan.slice.logical_begin;
-  const std::uint32_t dev_begin = plan.slice.dev_begin;
+  std::unique_ptr<Cell> cell;
+};
+
+/// Run one reactor's cell start to finish on this thread:
+/// IORING_SETUP_SINGLE_ISSUER binds each ring to the thread that opened it,
+/// and run_cells() tears the model down on this thread too.
+CellOutcome run_real_cell(const ExperimentConfig& config, Bytes slice, CellPlan plan,
+                          std::unique_ptr<CellModel>& model) {
+  auto owned = std::make_unique<RealModel>();
+  RealModel& built = *owned;
+  model = std::move(owned);
+  exec::RealContext& ctx = built.ctx;
+  auto& rings = built.rings;
   for (std::uint32_t i = 0; i < plan.slice.dev_count; ++i) {
-    const std::uint32_t global = dev_begin + i;
+    const std::uint32_t global = plan.slice.dev_begin + i;
     blockdev::UringParams params;
     params.path = config.backend.path;
     params.base_offset = static_cast<ByteOffset>(global) * slice;
@@ -121,7 +106,8 @@ GroupOutcome run_reactor_group(const ExperimentConfig& config, CellPlan plan, By
     plan.devices.push_back(ring.value().get());
     rings.push_back(std::move(ring).value());
   }
-  Cell cell(ctx, config, std::move(plan));
+  built.cell = std::make_unique<Cell>(ctx, config, std::move(plan));
+  Cell& cell = *built.cell;
 
   if (core::StorageServer* server = cell.server()) {
     // Pre-warm the extent slab to the steady-state working set and register
@@ -138,26 +124,7 @@ GroupOutcome run_reactor_group(const ExperimentConfig& config, CellPlan plan, By
       }
     }
     const auto regions = pool.extent_slab().regions();
-    for (auto& ring : rings) (void)ring->register_buffers(regions);
-  }
-
-  for (const std::uint32_t ordinal : streams) {
-    workload::StreamSpec spec = seeded_stream(config, ordinal);
-    spec.device -= logical_begin;
-    // Stream placements were drawn against the simulated disk's capacity;
-    // fold them into the (usually much smaller) real slice, preserving the
-    // uniform request-aligned spread.
-    const Bytes cap = cell.device_capacity(spec.device);
-    const Bytes slots = cap / spec.request_size;
-    if (slots == 0) {
-      reject("device slice smaller than one request (" +
-             std::to_string(spec.request_size) + " bytes)");
-    }
-    spec.start_offset = spec.start_offset / spec.request_size % slots * spec.request_size;
-    if (spec.region_bytes != 0 && spec.start_offset + spec.region_bytes > cap) {
-      spec.region_bytes = cap - spec.start_offset;
-    }
-    cell.add_client(ordinal, spec, cap);
+    for (const auto& ring : rings) (void)ring->register_buffers(regions);
   }
 
   cell.start();
@@ -191,92 +158,48 @@ GroupOutcome run_reactor_group(const ExperimentConfig& config, CellPlan plan, By
     ctx.run_until(now + msec(5));
   }
 
-  out.cell = cell.harvest(t0, t1);
-  out.cell.part.sim_events_dispatched = ctx.executed_tasks();
+  CellOutcome out = cell.harvest(t0, t1);
+  ExperimentResult& part = out.part;
+  part.sim_events_dispatched = ctx.executed_tasks();
   // The reactor's measured CPU share of the window replaces the model's
   // figure. The thread CPU clock and the monotonic clock may drift apart
   // by parts per million, so a saturated reactor is held at 1.
-  out.cell.part.host_cpu_utilization =
+  part.host_cpu_utilization =
       ran > 0 ? std::min(1.0, static_cast<double>(cpu_used) / static_cast<double>(ran)) : 0.0;
+  UringSummary& uring = part.uring_summary;
+  uring.enabled = true;
+  uring.devices = static_cast<std::uint32_t>(rings.size());
   for (const auto& ring : rings) {
-    out.rings.push_back({ring->stats(), ring->setup_flags(), ring->using_direct()});
+    const blockdev::UringStats stats = ring->stats();
+    fold_counters(uring, stats);
+    uring.per_device_completed.push_back(stats.completed);
+    uring.per_device_setup_flags.push_back(ring->setup_flags());
+    if (ring->using_direct()) ++uring.direct_devices;
   }
-  out.reactor = ctx.reactor_stats();
+  part.reactor_summary.enabled = true;
+  fold_counters(part.reactor_summary, ctx.reactor_stats());
   return out;
 }
 
 }  // namespace
 
-ExperimentResult run_experiment_real(const ExperimentConfig& config) {
+CellRunner real_cell_runner(const ExperimentConfig& config) {
   validate(config);
-
-  // A file slice has no controller: plan over one physical device per
-  // controller, so reactors split at device boundaries.
-  node::TopologySpec topology = config.topology;
-  topology.node.num_controllers = topology.node.total_disks();
-  topology.node.disks_per_controller = 1;
-  const ShardPlan plan = plan_shards(topology, config.backend.reactors);
-  const std::uint32_t reactors = plan.shard_count();
-
   // Carve the backing file into one equal, 4096-aligned slice per physical
   // device — the real counterpart of "N disks".
-  const std::uint32_t device_count = topology.node.num_controllers;
+  const std::uint32_t device_count = config.topology.node.total_disks();
   struct stat st{};
   if (::stat(config.backend.path.c_str(), &st) != 0) {
     reject("cannot stat " + config.backend.path + ": " + std::string(strerror(errno)));
   }
-  const auto file_size = static_cast<Bytes>(st.st_size);
-  const Bytes slice = file_size / device_count / 4096 * 4096;
+  const Bytes slice = static_cast<Bytes>(st.st_size) / device_count / 4096 * 4096;
   if (slice == 0) {
     reject(config.backend.path + " is too small for " + std::to_string(device_count) +
            " device slices");
   }
-
-  // Home every stream on the reactor owning its device, keeping the global
-  // ordinal: seeds and rids key on it, so results are invariant across
-  // reactor counts.
-  std::vector<CellPlan> groups = plan_cells(config, topology, plan);
-
-  // One pool thread per group. Pool tasks must not throw, so failures are
-  // carried out as messages and rethrown here.
-  std::vector<GroupOutcome> outcomes(reactors);
-  {
-    ThreadPool pool(reactors);
-    for (std::uint32_t k = 0; k < reactors; ++k) {
-      pool.submit([&config, &groups, &outcomes, k, slice]() {
-        try {
-          outcomes[k] = run_reactor_group(config, std::move(groups[k]), slice);
-        } catch (const std::exception& e) {
-          outcomes[k].error = e.what();
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-  std::vector<CellOutcome> cells;
-  for (GroupOutcome& outcome : outcomes) {
-    if (!outcome.error.empty()) throw std::runtime_error(outcome.error);
-    cells.push_back(std::move(outcome.cell));
-  }
-
-  ExperimentResult result = merge_cells(config, cells);
-  UringSummary& uring = result.uring_summary;
-  uring.enabled = true;
-  uring.devices = device_count;
-  ReactorSummary& reactor = result.reactor_summary;
-  reactor.enabled = true;
-  reactor.reactors = reactors;
-  reactor.requested = plan.requested;
-  for (const GroupOutcome& outcome : outcomes) {
-    for (const RingOutcome& ring : outcome.rings) {
-      fold_counters(uring, ring.stats);
-      uring.per_device_completed.push_back(ring.stats.completed);
-      uring.per_device_setup_flags.push_back(ring.setup_flags);
-      if (ring.direct) ++uring.direct_devices;
-    }
-    fold_counters(reactor, outcome.reactor);
-  }
-  return result;
+  return [&config, slice](CellPlan plan, std::unique_ptr<CellModel>& model) {
+    return run_real_cell(config, slice, std::move(plan), model);
+  };
 }
 
 #endif  // SST_WITH_URING

@@ -1,15 +1,16 @@
-// The simulation runner, shaped like run_experiment_real(): the deployment
-// cut into cells at controller boundaries, every stream homed on the cell
-// that owns its device with its global ordinal and seed, and each cell
-// built, run and harvested on its own sim::Simulator and thread with no
-// barrier before merge_cells() folds them. No request crosses cells.
+// The one experiment pipeline: plan_cells() cuts the deployment into
+// cells, every stream homed on the cell that owns its device with its
+// global ordinal and seed; run_cells() builds, runs and harvests each cell
+// through the backend's CellRunner on its own thread with no barrier; and
+// merge_cells() folds the outcomes. No request crosses cells.
 //
-// How many cells: `sim.shards` when it asks for more than one; one per
+// Simulated cells: `sim.shards` when it asks for more than one; one per
 // usable CPU when splits_exactly() finds nothing that couples the
 // controllers, since such cells return exactly what one Simulator would;
-// otherwise one. The cells get a thread each up to the usable CPUs, the
-// calling thread running the first; on a sweep worker they run in order on
-// that worker, since the sweep already keeps every CPU busy.
+// otherwise one. They get a thread each up to the usable CPUs; on a sweep
+// worker they run in order on that worker, since the sweep already keeps
+// every CPU busy. Real cells, one per reactor, always get a thread each:
+// they run together in wall time.
 #include "experiment/runner.hpp"
 
 #include <sched.h>
@@ -41,24 +42,21 @@ std::uint32_t usable_cpus() {
   return std::max(1U, std::thread::hardware_concurrency());
 }
 
-/// One cell's model: its simulator and the cell built on it.
-struct CellModel {
+/// A simulated cell's model: its simulator and the cell built on it.
+struct SimModel final : CellModel {
   sim::Simulator simulator;
   std::unique_ptr<Cell> cell;
 };
 
-/// Build `model` from `plan`, run it and harvest it, on the calling thread.
-CellOutcome run_cell(const ExperimentConfig& config, CellPlan plan, CellModel& model) {
-  sim::Simulator& simulator = model.simulator;
-  const std::vector<std::uint32_t> streams = std::move(plan.streams);
-  const std::uint32_t logical_begin = plan.slice.logical_begin;
-  model.cell = std::make_unique<Cell>(simulator, config, std::move(plan));
-  Cell& cell = *model.cell;
-  for (const std::uint32_t ordinal : streams) {
-    workload::StreamSpec spec = seeded_stream(config, ordinal);
-    spec.device -= logical_begin;
-    cell.add_client(ordinal, spec, cell.device_capacity(spec.device));
-  }
+/// The simulation's CellRunner.
+CellOutcome run_sim_cell(const ExperimentConfig& config, CellPlan plan,
+                         std::unique_ptr<CellModel>& model) {
+  auto owned = std::make_unique<SimModel>();
+  SimModel& built = *owned;
+  model = std::move(owned);
+  sim::Simulator& simulator = built.simulator;
+  built.cell = std::make_unique<Cell>(simulator, config, std::move(plan));
+  Cell& cell = *built.cell;
   cell.start();
   simulator.run_until(config.warmup);
   cell.begin_measurement();
@@ -71,16 +69,19 @@ CellOutcome run_cell(const ExperimentConfig& config, CellPlan plan, CellModel& m
   return out;
 }
 
-/// Build, run and harvest every cell of `plans` on `threads` threads, the
+/// Run every cell of `plans` through `run_cell` on `threads` threads, the
 /// calling thread among them: thread t runs cells t, t + threads, ... in
 /// order into `outcomes`. Once every cell is harvested, the calling thread
 /// folds the outcomes with merge_cells(), and only then does each thread
-/// tear its cells down, in parallel: a teardown frees thousands of small
-/// blocks, and the first large allocation after one pays for consolidating
-/// them (about 50 us of a 0.5 ms sim_staged set-up call). Rethrows what the
-/// lowest failing cell threw.
+/// tear its cells' models down, in parallel: a teardown frees thousands of
+/// small blocks, and the first large allocation after one pays for
+/// consolidating them (about 50 us of a 0.5 ms sim_staged set-up call).
+/// A model is torn down on the thread that built it, which a ring opened
+/// with IORING_SETUP_SINGLE_ISSUER requires. Rethrows what the lowest
+/// failing cell threw.
 ExperimentResult run_cells(const ExperimentConfig& config, std::vector<CellPlan> plans,
-                           std::uint32_t threads, std::vector<CellOutcome>& outcomes) {
+                           std::uint32_t threads, const CellRunner& run_cell,
+                           std::vector<CellOutcome>& outcomes) {
   const auto count = static_cast<std::uint32_t>(plans.size());
   outcomes.resize(count);
   std::vector<std::unique_ptr<CellModel>> models(count);
@@ -90,8 +91,7 @@ ExperimentResult run_cells(const ExperimentConfig& config, std::vector<CellPlan>
   const auto run_share = [&](std::uint32_t first) {
     for (std::uint32_t k = first; k < count; k += threads) {
       try {
-        models[k] = std::make_unique<CellModel>();
-        outcomes[k] = run_cell(config, std::move(plans[k]), *models[k]);
+        outcomes[k] = run_cell(std::move(plans[k]), models[k]);
       } catch (...) {
         failures[k] = std::current_exception();
       }
@@ -130,46 +130,6 @@ ExperimentResult run_cells(const ExperimentConfig& config, std::vector<CellPlan>
 
 }  // namespace
 
-ShardPlan plan_shards(const node::TopologySpec& topology, std::uint32_t requested) {
-  ShardPlan plan;
-  plan.requested = std::max<std::uint32_t>(1, requested);
-
-  const std::uint32_t controllers = topology.node.num_controllers;
-  const std::uint32_t dpc = topology.node.disks_per_controller;
-  std::uint32_t shards = std::min(plan.requested, controllers);
-  // One striped volume spans every device: the raid layer is a single
-  // coupling point, so striping always runs in one cell.
-  if (topology.stack.raid.kind == io::RaidSpec::Kind::kStripe) shards = 1;
-
-  const std::uint32_t mirror_ways =
-      topology.stack.raid.kind == io::RaidSpec::Kind::kMirror
-          ? topology.stack.raid.mirror_ways
-          : 1;
-  for (; shards > 1; --shards) {
-    // Near-even contiguous controller ranges; accept this count only when
-    // no mirror group straddles a boundary.
-    bool ok = true;
-    for (std::uint32_t k = 0; k < shards && ok; ++k) {
-      const std::uint32_t begin = k * controllers / shards;
-      const std::uint32_t end = (k + 1) * controllers / shards;
-      ok = ((end - begin) * dpc) % mirror_ways == 0;
-    }
-    if (ok) break;
-  }
-
-  for (std::uint32_t k = 0; k < shards; ++k) {
-    ShardSlice slice;
-    slice.ctrl_begin = k * controllers / shards;
-    slice.ctrl_count = (k + 1) * controllers / shards - slice.ctrl_begin;
-    slice.dev_begin = slice.ctrl_begin * dpc;
-    slice.dev_count = slice.ctrl_count * dpc;
-    slice.logical_begin = slice.dev_begin / mirror_ways;
-    slice.logical_count = slice.dev_count / mirror_ways;
-    plan.slices.push_back(slice);
-  }
-  return plan;
-}
-
 bool splits_exactly(const ExperimentConfig& config) {
   const io::StackSpec& stack = config.topology.stack;
   return config.backend.kind == BackendConfig::Kind::kSim && config.shards <= 1 &&
@@ -179,22 +139,39 @@ bool splits_exactly(const ExperimentConfig& config) {
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
+  std::vector<CellOutcome> cells;
   if (config.backend.kind == BackendConfig::Kind::kReal) {
-    return run_experiment_real(config);
+    const CellRunner run_cell = real_cell_runner(config);
+    // A file slice has no controller: plan over one physical device per
+    // controller, so reactors split at device boundaries.
+    node::TopologySpec topology = config.topology;
+    topology.node.num_controllers = topology.node.total_disks();
+    topology.node.disks_per_controller = 1;
+    std::vector<CellPlan> plans = plan_cells(config, topology, config.backend.reactors);
+    // Reactors run together in wall time: one thread each, never capped by
+    // the CPUs and never in order on a sweep worker.
+    const auto reactors = static_cast<std::uint32_t>(plans.size());
+    ExperimentResult result = run_cells(config, std::move(plans), reactors, run_cell, cells);
+    result.reactor_summary.reactors = reactors;
+    result.reactor_summary.requested = std::max(1U, config.backend.reactors);
+    return result;
   }
+
   const std::uint32_t cpus = usable_cpus();
   const bool exact = splits_exactly(config);
-  const ShardPlan plan = plan_shards(config.topology, exact ? cpus : config.shards);
-  std::vector<CellOutcome> cells;
-  ExperimentResult result =
-      run_cells(config, plan_cells(config, config.topology, plan),
-                on_sweep_worker() ? 1 : std::min(plan.shard_count(), cpus), cells);
+  std::vector<CellPlan> plans = plan_cells(config, config.topology, exact ? cpus : config.shards);
+  const auto count = static_cast<std::uint32_t>(plans.size());
+  const CellRunner run_cell = [&config](CellPlan plan, std::unique_ptr<CellModel>& model) {
+    return run_sim_cell(config, std::move(plan), model);
+  };
+  ExperimentResult result = run_cells(config, std::move(plans),
+                                      on_sweep_worker() ? 1 : std::min(count, cpus), run_cell, cells);
 
   // An exact split reports one cell: its result is the one Simulator's.
-  if (!exact && plan.shard_count() > 1) {
+  if (!exact && count > 1) {
     ShardSummary& summary = result.shard_summary;
-    summary.shards = plan.shard_count();
-    summary.requested = plan.requested;
+    summary.shards = count;
+    summary.requested = config.shards;
     summary.min_shard_events = ~0ULL;
     for (const CellOutcome& cell : cells) {
       summary.min_shard_events =

@@ -1,16 +1,17 @@
 // The experiment API: an ExperimentConfig in, the numbers every paper
 // figure needs out (aggregate and per-stream MB/s, response-time
-// distribution, per-layer counters). Every run is assembled from
-// experiment::Cell (experiment/cell.hpp): a device stack, an optional
-// stream-scheduler server, closed-loop stream clients and their observers
-// on one execution context. The runners add only how cells run:
+// distribution, per-layer counters). run_experiment() is the one entry
+// point for both backends. It assembles every run from experiment::Cell
+// (experiment/cell.hpp): a device stack, an optional stream-scheduler
+// server, closed-loop stream clients and their observers on one execution
+// context. plan_cells() cuts the deployment into cells and homes every
+// stream on the cell that owns its device; the backends differ only in
+// what each cell runs on:
 //
-//   run_experiment       one cell per controller group, each on its own
-//                        sim::Simulator and thread; one cell unless the
-//                        run is sharded or splits exactly (sharding.hpp);
-//   run_experiment_real  one cell per reactor thread over io_uring rings.
-//
-// Both home every stream on the cell that owns its device.
+//   sim   one cell per controller group, each on its own sim::Simulator
+//         and thread; one cell unless the run is sharded or splits
+//         exactly (sharding.hpp);
+//   real  one cell per reactor thread over io_uring rings.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +106,7 @@ struct ExperimentConfig {
   /// into per-cell rings merged back into this one after the cells finish.
   obs::FlightRecorder* flight = nullptr;
   /// Execution backend (`backend.*` keys). kSim unless configured
-  /// otherwise; see run_experiment_real() for what kReal supports.
+  /// otherwise; see run_experiment() for what kReal supports.
   BackendConfig backend;
 };
 
@@ -198,19 +199,19 @@ struct ExperimentResult {
 /// result (sim.wheel_cascades aside, which counts per cell and so depends on
 /// how many cells an exactly splitting run uses) — except with
 /// backend.kind = kReal, where wall-clock timing makes every run unique.
+///
+/// A real run puts one UringBlockDevice slice of `backend.path` under each
+/// physical device, with the same cells and device stack (fault injection,
+/// retry, raid) as the simulation, on wall-clock execution contexts. Its
+/// reactors are planned like sim cells over one device per controller.
+/// It rejects the simulated network link and sim.shards > 1, throwing
+/// std::runtime_error for those, when the backend is unavailable, or when
+/// the backing file doesn't fit the topology. A failing cell's exception
+/// reaches the caller with its own type, on either backend.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// True when the library was built with the io_uring backend
 /// (-DSST_WITH_URING=ON); backend.kind = real is rejected otherwise.
 [[nodiscard]] bool real_backend_available();
-
-/// Run the configuration against real files: one UringBlockDevice slice of
-/// `backend.path` per physical device, under the same cells and device
-/// stack (fault injection, retry, raid) as the simulation, on wall-clock
-/// execution contexts. Reactor groups are planned by plan_shards() over
-/// one device per controller. Rejects the simulated network link and
-/// sim.shards > 1; throws std::runtime_error for those, when the backend is
-/// unavailable, or when the backing file doesn't fit the topology.
-[[nodiscard]] ExperimentResult run_experiment_real(const ExperimentConfig& config);
 
 }  // namespace sst::experiment

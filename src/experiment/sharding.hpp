@@ -1,13 +1,12 @@
-// Cell planning for the experiment runners: how a TopologySpec splits into
-// per-cell device-stack slices at controller boundaries, when a simulated
-// run may split by itself because nothing couples its controllers, and the
-// workload seed chain every stream's seed derives from. Pure config-time
-// logic (no simulator), separated from the runners so tests can pin the
-// planning rules directly.
+// Cell planning terms: the slice of the deployment a cell owns, when a
+// simulated run may split by itself because nothing couples its
+// controllers, and the workload seed chain every stream's seed derives
+// from. plan_cells() (experiment/cell.hpp) cuts a TopologySpec into those
+// slices for both backends. Pure config-time logic (no simulator), so
+// tests can pin the planning rules directly.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/random.hpp"
 #include "common/types.hpp"
@@ -26,36 +25,7 @@ struct ShardSlice {
   std::uint32_t logical_count = 0;
 };
 
-struct ShardPlan {
-  std::uint32_t requested = 1;  ///< configured cells before clamping
-  std::vector<ShardSlice> slices;
-
-  [[nodiscard]] std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(slices.size());
-  }
-
-  /// Which cell owns logical device `device`.
-  [[nodiscard]] std::uint32_t shard_of_logical(std::uint32_t device) const {
-    for (std::uint32_t k = 0; k < shard_count(); ++k) {
-      const ShardSlice& s = slices[k];
-      if (device >= s.logical_begin && device < s.logical_begin + s.logical_count) {
-        return k;
-      }
-    }
-    return 0;
-  }
-};
-
-/// Split `topology` into at most `requested` cells at controller
-/// boundaries (a controller and its disks never straddle cells). Clamps to
-/// the controller count; falls back toward fewer cells when the raid
-/// layout couples devices across a proposed boundary (any striping, or a
-/// mirror group splitting).
-[[nodiscard]] ShardPlan plan_shards(const node::TopologySpec& topology,
-                                    std::uint32_t requested);
-
 struct ExperimentConfig;
-struct ExperimentResult;
 
 /// True when nothing in a simulated `config` couples its controllers or
 /// journals across them, so cells split at controller boundaries return
@@ -69,7 +39,7 @@ struct ExperimentResult;
 [[nodiscard]] bool splits_exactly(const ExperimentConfig& config);
 
 /// The workload seed chain: global seed ⊕ chain id through the mix64
-/// chain. Every runner seeds stream `ordinal` (its position in spec order)
+/// chain. Every cell seeds stream `ordinal` (its position in spec order)
 /// from chain 0, so a stream's seed does not depend on the cell it runs on.
 [[nodiscard]] constexpr std::uint64_t shard_workload_seed(std::uint64_t workload_seed,
                                                           std::uint32_t shard) {

@@ -2,7 +2,8 @@
 // deterministic simulations, so the most profitable parallelism is across
 // grid points. run_sweep fans experiment runs over a fixed-size thread pool
 // while keeping results in input order, bit-identical to a serial run. A
-// run on a pool worker keeps its cells on that worker (on_sweep_worker()).
+// simulated run on a pool worker keeps its cells on that worker
+// (on_sweep_worker()); a real run still gives each reactor a thread.
 #pragma once
 
 #include <functional>
@@ -25,9 +26,11 @@ namespace sst::experiment {
 [[nodiscard]] std::vector<ExperimentResult> run_sweep(
     const std::vector<ExperimentConfig>& configs, unsigned workers = 0);
 
-/// True on a thread run_sweep_jobs() runs jobs on in parallel. A run there
-/// runs its cells in order on that thread instead of starting threads of
-/// its own: the sweep already keeps a worker per CPU busy.
+/// True on a thread run_sweep_jobs() runs jobs on in parallel. A simulated
+/// run there runs its cells in order on that thread instead of starting
+/// threads of its own: the sweep already keeps a worker per CPU busy. A
+/// real run's reactors run together in wall time, so they still get a
+/// thread each.
 [[nodiscard]] bool on_sweep_worker();
 
 /// Generalized fan-out for sweeps whose points are not plain

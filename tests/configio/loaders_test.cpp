@@ -174,7 +174,8 @@ TEST(ExperimentLoader, RejectsMisreadAndRetiredKeys) {
                                    std::pair{"node.controllers", "2"},
                                    std::pair{"node.disks_per_controller", "2"},
                                    std::pair{"node.seed", "7"},
-                                   std::pair{"topology.shards", "2"}}) {
+                                   std::pair{"topology.shards", "2"},
+                                   std::pair{"sched.materialize", "true"}}) {
     const auto e = load_experiment(make({{key, value}}));
     ASSERT_FALSE(e.ok()) << key << "=" << value;
     EXPECT_NE(e.error().message.find(key), std::string::npos) << e.error().message;

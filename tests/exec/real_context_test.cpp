@@ -295,6 +295,23 @@ TEST(RealContextDrivers, TasksDueNowYieldToDriversAndTheDeadline) {
   ctx.remove_driver(&driver);
 }
 
+// A completion already due when run_until() is called at its deadline is
+// delivered before it returns: a reactor thread descheduled across the
+// deadline still hands over what was posted by it.
+TEST(RealContextDrivers, RunUntilDeliversCompletionsPostedByItsDeadline) {
+  RealContext ctx;
+  TimedPollDriver driver(ctx);
+  ctx.add_driver(&driver);
+
+  const SimTime now = ctx.now();
+  driver.start(now);
+  ctx.run_until(now);
+  EXPECT_EQ(driver.delivered, 1u);
+  EXPECT_EQ(driver.in_flight(), 0u);
+
+  ctx.remove_driver(&driver);
+}
+
 /// Deterministic eventfd-backed completion source for the epoll path: a
 /// producer (the test) deposits completions and signals the eventfd —
 /// exactly the contract a multiplexed io_uring ring follows. in_flight()

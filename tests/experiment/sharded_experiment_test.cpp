@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "experiment/cell.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/sharding.hpp"
 #include "workload/generator.hpp"
@@ -35,24 +37,40 @@ ExperimentConfig sharded_config(std::uint32_t controllers, std::uint32_t disks_p
   return ec;
 }
 
+/// The cells plan_cells() cuts `topology` into, with stream i on logical
+/// device i.
+std::vector<CellPlan> cells_of(const node::TopologySpec& topology, std::uint32_t requested) {
+  ExperimentConfig config;
+  config.topology = topology;
+  config.streams.resize(topology.logical_device_count());
+  for (std::uint32_t i = 0; i < config.streams.size(); ++i) config.streams[i].device = i;
+  return plan_cells(config, config.topology, requested);
+}
+
 TEST(ShardPlanning, ClampsToControllerCount) {
   node::TopologySpec topo;
   topo.node.num_controllers = 2;
   topo.node.disks_per_controller = 4;
-  const ShardPlan plan = plan_shards(topo, 8);
-  EXPECT_EQ(plan.requested, 8u);
-  EXPECT_EQ(plan.shard_count(), 2u);
+  EXPECT_EQ(cells_of(topo, 8).size(), 2u);
+  // The run reports the request beside the clamped count.
+  const ExperimentResult result = run_experiment(sharded_config(2, 4, 8, 8));
+  EXPECT_EQ(result.shard_summary.requested, 8u);
+  EXPECT_EQ(result.shard_summary.shards, 2u);
+  const std::string json = result.to_json();
+  EXPECT_NE(json.find("\"shard_requested\": 8"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"shard_count\": 2"), std::string::npos) << json;
 }
 
 TEST(ShardPlanning, SlicesAreContiguousAndCoverEverything) {
   node::TopologySpec topo;
   topo.node.num_controllers = 5;  // uneven split over 3 shards
   topo.node.disks_per_controller = 2;
-  const ShardPlan plan = plan_shards(topo, 3);
-  ASSERT_EQ(plan.shard_count(), 3u);
+  const std::vector<CellPlan> cells = cells_of(topo, 3);
+  ASSERT_EQ(cells.size(), 3u);
   std::uint32_t next_ctrl = 0;
   std::uint32_t next_dev = 0;
-  for (const ShardSlice& slice : plan.slices) {
+  for (const CellPlan& cell : cells) {
+    const ShardSlice& slice = cell.slice;
     EXPECT_EQ(slice.ctrl_begin, next_ctrl);
     EXPECT_EQ(slice.dev_begin, next_dev);
     EXPECT_EQ(slice.dev_count, slice.ctrl_count * 2);
@@ -62,19 +80,24 @@ TEST(ShardPlanning, SlicesAreContiguousAndCoverEverything) {
   }
   EXPECT_EQ(next_ctrl, 5u);
   EXPECT_EQ(next_dev, 10u);
-  // Logical ownership maps back to the owning shard.
-  for (std::uint32_t dev = 0; dev < 10; ++dev) {
-    const std::uint32_t k = plan.shard_of_logical(dev);
-    EXPECT_GE(dev, plan.slices[k].logical_begin);
-    EXPECT_LT(dev, plan.slices[k].logical_begin + plan.slices[k].logical_count);
+  // Logical ownership maps back to the owning shard: every stream is homed
+  // on the cell whose slice holds its device.
+  std::uint32_t homed = 0;
+  for (const CellPlan& cell : cells) {
+    for (const std::uint32_t dev : cell.streams) {
+      EXPECT_GE(dev, cell.slice.logical_begin);
+      EXPECT_LT(dev, cell.slice.logical_begin + cell.slice.logical_count);
+      ++homed;
+    }
   }
+  EXPECT_EQ(homed, 10u);
 }
 
 TEST(ShardPlanning, StripeAlwaysCollapsesToOneShard) {
   node::TopologySpec topo;
   topo.node.num_controllers = 4;
   topo.stack.raid.kind = io::RaidSpec::Kind::kStripe;
-  EXPECT_EQ(plan_shards(topo, 4).shard_count(), 1u);
+  EXPECT_EQ(cells_of(topo, 4).size(), 1u);
 }
 
 TEST(ShardPlanning, MirrorGroupsNeverStraddleShards) {
@@ -84,13 +107,13 @@ TEST(ShardPlanning, MirrorGroupsNeverStraddleShards) {
   topo.stack.raid.kind = io::RaidSpec::Kind::kMirror;
   // 4-way groups span both controllers: must fall back to one shard.
   topo.stack.raid.mirror_ways = 4;
-  EXPECT_EQ(plan_shards(topo, 2).shard_count(), 1u);
+  EXPECT_EQ(cells_of(topo, 2).size(), 1u);
   // 2-way groups align with controllers: two shards of one group each.
   topo.stack.raid.mirror_ways = 2;
-  const ShardPlan plan = plan_shards(topo, 2);
-  ASSERT_EQ(plan.shard_count(), 2u);
-  EXPECT_EQ(plan.slices[0].logical_count, 1u);
-  EXPECT_EQ(plan.slices[1].logical_begin, 1u);
+  const std::vector<CellPlan> cells = cells_of(topo, 2);
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].slice.logical_count, 1u);
+  EXPECT_EQ(cells[1].slice.logical_begin, 1u);
 }
 
 TEST(ShardSeeding, ShardsAndStreamsDrawIndependentSeeds) {
